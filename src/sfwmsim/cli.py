@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (MODEL_NAMES, SimulationConfig, load_config,
+from .config import (MODEL_NAMES, SimulationConfig, load_config, number_error,
                      validate_config)
 from .errors import AccuracyError, AccuracyWarning, ConfigError
 from .filtering import FilterPair, JointAmplitudeMatrix, filtered_jta
@@ -233,21 +233,26 @@ def _load_sweep_spec(path):
         errors.append("sweep.values: give either values or start/stop/count, not both")
     elif has_values:
         vs = raw["values"]
-        if (not isinstance(vs, list) or not vs
-                or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                           for v in vs)):
+        if not isinstance(vs, list) or not vs:
             errors.append("sweep.values: expected a nonempty list of numbers")
         else:
-            values = [float(v) for v in vs]
+            bad = [f"sweep.values[{i}]: {p}" for i, v in enumerate(vs)
+                   if (p := number_error(v)) is not None]
+            errors += bad
+            if not bad:
+                values = [float(v) for v in vs]
     elif has_range:
         missing = [k for k in ("start", "stop", "count") if k not in raw]
         if missing:
             errors.append(f"sweep.{missing[0]}: missing required value")
         else:
+            bad = [f"sweep.{k}: {p}" for k in ("start", "stop")
+                   if (p := number_error(raw[k])) is not None]
+            errors += bad
             count = raw["count"]
             if not isinstance(count, int) or isinstance(count, bool) or count < 2:
                 errors.append("sweep.count: expected an integer >= 2")
-            else:
+            elif not bad:
                 values = list(np.linspace(float(raw["start"]),
                                           float(raw["stop"]), count))
     else:

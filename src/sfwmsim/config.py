@@ -89,8 +89,13 @@ def validate_config(cfg: SimulationConfig) -> list[str]:
     return sorted(errors)
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+def number_error(val) -> str | None:
+    """Why a JSON value is not a usable number, or None when it is one."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return f"expected a number, got {val!r}"
+    if not math.isfinite(val):
+        return f"expected a finite number, got {val!r}"
+    return None
 
 
 def _line_of(text: str, section: str, key: str | None = None) -> int | None:
@@ -131,8 +136,9 @@ class _SectionReader:
                 self.errors.append(f"{self.name}.{key}: missing required value")
             return default
         val = self.data[key]
-        if not _is_number(val):
-            self.errors.append(f"{self.name}.{key}: expected a number, got {val!r}")
+        problem = number_error(val)
+        if problem is not None:
+            self.errors.append(f"{self.name}.{key}: {problem}")
             return default
         return float(val)
 

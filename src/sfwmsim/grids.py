@@ -6,6 +6,7 @@ unitary DFT pairing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -68,6 +69,8 @@ def build_temporal_grid(pulse, filters: Sequence = (),
     The effective width is the larger of the pulse width and the broadest
     filter time kernel (1/sigma_f); the grid spans +-span_sigmas of it.
     """
+    if not math.isfinite(span_sigmas):
+        raise ConfigError(f"grid.span_sigmas: expected a finite number, got {span_sigmas!r}")
     if not span_sigmas >= 6:
         raise ConfigError(f"grid.span_sigmas: {span_sigmas!r} is below the minimum 6")
     if not (isinstance(n_points, (int, np.integer)) and n_points >= 64

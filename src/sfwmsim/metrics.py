@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import fourfold_sum
 from .errors import (AccuracyWarning, ConfigError, CostGuardError,
                      DegenerateInputError, UndefinedEfficiencyError)
 from .filtering import FilterPair, FilterSpec, JointAmplitudeMatrix, filtered_jta, overlap
@@ -150,21 +149,33 @@ def schmidt_mode_count(weights: np.ndarray, fraction: float = 0.99) -> int:
     return int(np.searchsorted(cum, fraction - 1e-12) + 1)
 
 
-def purity_quadrature(diag: DiagonalJTA, filters: FilterPair, backend: str = "auto",
+def fourfold_sum(v: np.ndarray, os: np.ndarray, oi: np.ndarray) -> complex:
+    """Four-index contraction behind the purity quadrature.
+
+    F = sum_{a,b,c,d} v[a] conj(v[b]) v[c] conj(v[d])
+        * os[b,a] * os[d,c] * oi[b,c] * oi[d,a],
+    evaluated in O(N^3) through the exact factorization F = v . (G * G^T) . v
+    with G = (os * conj(v)[:, None])^T @ oi.
+    """
+    g = (os * np.conj(v)[:, None]).T @ oi
+    return complex(v @ (g * g.T) @ v)
+
+
+def purity_quadrature(diag: DiagonalJTA, filters: FilterPair,
                       allow_large: bool = False) -> float:
     """Heralded purity from the four-fold overlap quadrature.
 
-    Independent cross-check of the singular-value route; O(N^4) with the
-    literal kernel structure, so grids above 128 points are refused unless
-    ``allow_large`` is set.
+    Independent cross-check of the singular-value route: the four-fold sum
+    shares no factorization with the SVD. It costs O(N^3), so grids above
+    128 points are refused unless ``allow_large`` is set.
     """
     if not (filters.signal.is_gaussian and filters.idler.is_gaussian):
         raise ConfigError("four-fold purity quadrature needs gaussian filters on both sides")
     n = diag.grid.n_points
     if n > FOURFOLD_MAX_POINTS and not allow_large:
         raise CostGuardError(
-            f"four-fold quadrature on {n} points needs ~{n ** 4 / 1e9:.1f}e9 kernel "
-            "evaluations; pass allow_large=True to force it")
+            f"four-fold quadrature on {n} points needs O(N^3), ~{n ** 3:.1e} "
+            "multiply-adds; pass allow_large=True to force it")
     tau = diag.grid.tau
     v = diag.grid.trapezoid_weights * diag.values
     os = _overlap_matrix(filters.signal, tau)
@@ -172,7 +183,7 @@ def purity_quadrature(diag: DiagonalJTA, filters: FilterPair, backend: str = "au
     norm = float(np.real(np.conj(v) @ (os * oi) @ v))
     if norm == 0.0:
         raise DegenerateInputError("zero amplitude: heralded purity undefined")
-    f = fourfold_sum(v, os, oi, backend=backend)
+    f = fourfold_sum(v, os, oi)
     return float(np.real(f)) / norm ** 2
 
 

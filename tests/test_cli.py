@@ -95,6 +95,26 @@ def test_validate_reports_all_violations(tmp_path, capsys):
     assert "nonpositive length" in err
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_non_finite_config_number_rejected(tmp_path, capsys, command, value):
+    raw = json.loads(json.dumps(BASE))
+    raw["pump"]["P0"] = value
+    args = [command, "--config", _write_config(tmp_path, raw)]
+    if command == "simulate":
+        args += ["--out", str(tmp_path / "out")]
+    assert main(args) == 2
+    assert (f"line 3: pump.P0: expected a finite number, got {value!r}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_finite_span_sigmas_flag_rejected(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    assert main(["validate", "--config", cfg, "--span-sigmas", "inf"]) == 2
+    assert "grid.span_sigmas: expected a finite number, got inf" in capsys.readouterr().err
+
+
 def test_accuracy_failure_exit_code(tmp_path, capsys):
     raw = json.loads(json.dumps(BASE))
     raw["waveguide"]["delta_beta0"] = 4e4
@@ -242,6 +262,22 @@ def test_sweep_spec_validation(tmp_path, bad, capsys):
     assert main(["sweep", "--config", cfg, "--sweep", str(sweep),
                  "--out", str(out)]) == 2
     assert "sweep" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"values": [0.1, math.nan, 0.3]}, "sweep.values[1]: expected a finite number, got nan"),
+    ({"start": "low", "stop": 1.0, "count": 3}, "sweep.start: expected a number, got 'low'"),
+    ({"start": 0.0, "stop": math.inf, "count": 3},
+     "sweep.stop: expected a finite number, got inf"),
+])
+def test_sweep_rejects_bad_numbers(tmp_path, capsys, spec, message):
+    cfg = _write_config(tmp_path)
+    sweep = _write_sweep(tmp_path, {"parameter": "phi_max", "models": ["linear"], **spec})
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", cfg, "--sweep", str(sweep),
+                 "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_lambda_requires_positive_values(tmp_path, capsys):

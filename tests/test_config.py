@@ -169,6 +169,9 @@ def test_bad_grid_values_rejected(tmp_path):
     raw["grid"]["n_points"] = 128.5
     with pytest.raises(ConfigError, match="expected an integer"):
         load_config(_write(tmp_path, raw))
+    raw["grid"]["n_points"] = float("inf")
+    with pytest.raises(ConfigError, match="grid.n_points: expected a finite number, got inf"):
+        load_config(_write(tmp_path, raw))
 
 
 def test_regime_check_section(tmp_path):

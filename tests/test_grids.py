@@ -65,6 +65,8 @@ def test_builder_floors():
         build_temporal_grid(pump, n_points=32)
     with pytest.raises(ConfigError):
         build_temporal_grid(pump, span_sigmas=4.0)
+    with pytest.raises(ConfigError, match="finite"):
+        build_temporal_grid(pump, span_sigmas=float("inf"))
 
 
 def test_time_index_round_trip():

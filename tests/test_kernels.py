@@ -1,16 +1,16 @@
-"""Backend cross-validation for the four-fold contraction.
+"""The four-fold contraction against literal four-index references.
 
-The reference is the literal quadruple loop written in Python, kept tiny
-(N = 8) so it stays fast; the factored numpy contraction and the compiled
-kernel must both reproduce it.
+Two references walk the sum index by index with no factorization: a pure
+Python quadruple loop, kept tiny (N = 8), and an unoptimized einsum, which
+evaluates every one of the N^4 terms and so stays usable up to N = 64.
 """
 
 import numpy as np
 import pytest
 
-from sfwmsim import purity_quadrature, purity_schmidt
-from sfwmsim._kernels import DEFAULT_BACKEND, HAVE_COMPILED, fourfold_sum
-from sfwmsim import FilterPair, FilterSpec, filtered_jta_linear_gaussian, jta_linear
+from sfwmsim import (filtered_jta_linear_gaussian, jta_linear, jta_simple, jta_sinc,
+                     overlap, purity_quadrature, purity_schmidt)
+from sfwmsim.metrics import fourfold_sum
 from conftest import make_filters, make_grid, make_pump, make_waveguide
 
 
@@ -26,6 +26,12 @@ def _reference_loop(v, os, oi):
     return total
 
 
+def _reference_einsum(v, os, oi):
+    vc = np.conj(v)
+    return complex(np.einsum("a,b,c,d,ba,dc,bc,da->", v, vc, v, vc, os, os, oi, oi,
+                             optimize=False))
+
+
 def _random_problem(rng, n=8):
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     os = rng.standard_normal((n, n))
@@ -37,46 +43,37 @@ def _random_problem(rng, n=8):
 def test_numpy_backend_matches_the_literal_loop(rng):
     v, os, oi = _random_problem(rng)
     want = _reference_loop(v, os, oi)
-    got = fourfold_sum(v, os, oi, backend="numpy")
+    got = fourfold_sum(v, os, oi)
     assert got == pytest.approx(want, rel=1e-12)
 
 
-@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
-def test_compiled_backend_matches_the_literal_loop(rng):
-    v, os, oi = _random_problem(rng)
-    want = _reference_loop(v, os, oi)
-    got = fourfold_sum(v, os, oi, backend="compiled")
-    assert got == pytest.approx(want, rel=1e-12)
-
-
-@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
-def test_backends_agree_on_a_larger_problem(rng):
+def test_einsum_reference_matches_on_a_larger_problem(rng):
     v, os, oi = _random_problem(rng, n=32)
-    a = fourfold_sum(v, os, oi, backend="compiled")
-    b = fourfold_sum(v, os, oi, backend="numpy")
-    assert a == pytest.approx(b, rel=1e-11)
+    assert fourfold_sum(v, os, oi) == pytest.approx(_reference_einsum(v, os, oi),
+                                                    rel=1e-11)
 
 
-def test_auto_backend_resolves():
-    assert DEFAULT_BACKEND in ("compiled", "numpy")
-    if HAVE_COMPILED:
-        assert DEFAULT_BACKEND == "compiled"
+@pytest.mark.parametrize("model", [jta_simple, jta_sinc])
+def test_purity_quadrature_matches_the_einsum_reference(model):
+    pump = make_pump(phi_max=1.0)
+    wg = make_waveguide(delta_beta0=1.0)
+    filters = make_filters(1.0, 3.0, pump)
+    grid = make_grid(pump, [filters.signal, filters.idler], n_points=64)
+    diag = model(pump, wg, grid)
+    v = grid.trapezoid_weights * diag.values
+    sep = np.sqrt(2.0) * (grid.tau[:, None] - grid.tau[None, :])
+    os, oi = overlap(filters.signal, sep), overlap(filters.idler, sep)
+    norm = float(np.real(np.conj(v) @ (os * oi) @ v))
+    want = _reference_einsum(v, os, oi).real / norm ** 2
+    assert purity_quadrature(diag, filters) == pytest.approx(want, rel=1e-12)
 
 
-def test_unknown_backend_rejected(rng):
-    v, os, oi = _random_problem(rng)
-    with pytest.raises(ValueError):
-        fourfold_sum(v, os, oi, backend="fortran")
-
-
-def test_purity_quadrature_backend_independence():
+def test_purity_quadrature_matches_schmidt_on_a_coarse_grid():
     pump = make_pump(phi_max=0.1)
     wg = make_waveguide()
     filters = make_filters(2.0, 2.0, pump)
     grid = make_grid(pump, [filters.signal, filters.idler], n_points=64)
     diag = jta_linear(pump, wg, grid)
-    p_np = purity_quadrature(diag, filters, backend="numpy")
-    p_auto = purity_quadrature(diag, filters, backend="auto")
-    assert p_np == pytest.approx(p_auto, rel=1e-11)
+    p = purity_quadrature(diag, filters)
     matrix = filtered_jta_linear_gaussian(pump, wg, filters, grid)
-    assert p_np == pytest.approx(purity_schmidt(matrix).purity, abs=2e-3)
+    assert p == pytest.approx(purity_schmidt(matrix).purity, abs=2e-3)

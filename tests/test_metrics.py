@@ -156,8 +156,8 @@ def test_purity_quadrature_cost_guard():
     diag = jta_linear(pump, wg, grid)
     with pytest.raises(CostGuardError):
         purity_quadrature(diag, filters)
-    # the factored numpy path is O(N^3), cheap enough to force
-    forced = purity_quadrature(diag, filters, backend="numpy", allow_large=True)
+    # the factored contraction is O(N^3), cheap enough to force
+    forced = purity_quadrature(diag, filters, allow_large=True)
     assert forced == pytest.approx(PURITY_22, rel=1e-7)
 
 
