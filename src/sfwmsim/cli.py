@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import (MODEL_NAMES, SimulationConfig, load_config, number_error,
-                     validate_config)
+                     read_json, validate_config)
 from .errors import AccuracyError, AccuracyWarning, ConfigError
 from .filtering import FilterPair, JointAmplitudeMatrix, filtered_jta
 from .grids import build_temporal_grid
@@ -49,64 +49,57 @@ def _coordinates(grid) -> np.ndarray:
     return grid.tau if hasattr(grid, "tau") else grid.omega
 
 
-def export_matrix(matrix: JointAmplitudeMatrix, path, fmt: str = "coords") -> list[Path]:
-    """Write a joint-amplitude matrix to CSV.
+def _write_csv(path, header, rows) -> None:
+    """The one CSV writer: the csv module's default dialect (CRLF line ends,
+    minimal quoting), a header row, then ``rows`` as they stream in."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
-    ``coords`` writes one long table (row_coord, col_coord, re, im) in
-    row-major order. ``polar`` writes two sibling grid-layout files,
-    ``<stem>_magnitude.csv`` and ``<stem>_phase.csv``. Floats use repr so a
-    read-back round trip is exact. Returns the paths written.
+
+def _float_rows(rows):
+    """Each numpy row as repr strings (exact on read-back), one row at a time."""
+    for row in rows:
+        yield map(repr, row.tolist())
+
+
+def _coords_rows(cs: np.ndarray, ci: np.ndarray, vals: np.ndarray):
+    """(row_coord, col_coord, re, im) in row-major order, one matrix row at a time."""
+    for rc, row in zip(cs, vals):
+        yield from np.column_stack((np.full(len(ci), rc), ci, row.real, row.imag))
+
+
+def export_matrix(matrix: JointAmplitudeMatrix, path) -> list[Path]:
+    """Write a joint-amplitude matrix to CSV in three views.
+
+    ``path`` gets one long table (row_coord, col_coord, re, im) in row-major
+    order; the sibling grid-layout files ``<stem>_magnitude.csv`` and
+    ``<stem>_phase.csv`` hold abs and angle. Floats use repr so a read-back
+    round trip is exact. Returns the three paths written.
     """
     path = Path(path)
     cs = _coordinates(matrix.grid_s)
     ci = _coordinates(matrix.grid_i)
     vals = matrix.values
-    if fmt == "coords":
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["row_coord", "col_coord", "re", "im"])
-            for j in range(len(cs)):
-                rcoord = repr(float(cs[j]))
-                row = vals[j]
-                for k in range(len(ci)):
-                    writer.writerow([rcoord, repr(float(ci[k])),
-                                     repr(float(row[k].real)),
-                                     repr(float(row[k].imag))])
-        return [path]
-    if fmt == "polar":
-        mag_path = path.with_name(path.stem + "_magnitude.csv")
-        phase_path = path.with_name(path.stem + "_phase.csv")
-        header = ["coord"] + [repr(float(c)) for c in ci]
-        for out_path, table in ((mag_path, np.abs(vals)),
-                                (phase_path, np.angle(vals))):
-            with open(out_path, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(header)
-                for j in range(len(cs)):
-                    writer.writerow([repr(float(cs[j]))]
-                                    + [repr(float(x)) for x in table[j]])
-        return [mag_path, phase_path]
-    raise ValueError(f"unknown export format {fmt!r}")
+    _write_csv(path, ["row_coord", "col_coord", "re", "im"],
+               _float_rows(_coords_rows(cs, ci, vals)))
+    paths = [path]
+    header = ["coord", *map(repr, ci.tolist())]
+    for suffix, table in (("_magnitude", np.abs(vals)), ("_phase", np.angle(vals))):
+        paths.append(path.with_name(path.stem + suffix + ".csv"))
+        _write_csv(paths[-1], header, _float_rows(np.column_stack((cs, table))))
+    return paths
 
 
 def read_matrix_coords(path):
-    """Read back a ``coords`` CSV as (row_coords, col_coords, complex matrix)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))[1:]
-    n_rows = len({r[0] for r in rows})
-    n_cols = len(rows) // n_rows
-    row_coords = np.array([float(rows[j * n_cols][0]) for j in range(n_rows)])
-    col_coords = np.array([float(rows[k][1]) for k in range(n_cols)])
-    values = np.array([float(r[2]) + 1j * float(r[3]) for r in rows])
-    return row_coords, col_coords, values.reshape(n_rows, n_cols)
-
-
-def _write_marginal(path, omega: np.ndarray, spectrum: np.ndarray) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["detuning", "intensity"])
-        for w, s in zip(omega, spectrum):
-            writer.writerow([repr(float(w)), repr(float(s))])
+    """Read back a coords CSV as (row_coords, col_coords, complex matrix)."""
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    n_rows = len(np.unique(data[:, 0]))
+    table = data.reshape(n_rows, -1, 4)
+    # reinterpret each (re, im) pair as one complex128 so signed zeros survive
+    values = np.ascontiguousarray(table[..., 2:]).view(complex)[..., 0]
+    return table[:, 0, 0], table[0, :, 1], values
 
 
 def _evaluate(cfg: SimulationConfig, conjugated: bool, literal_z: bool):
@@ -191,15 +184,13 @@ def _cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    export_matrix(matrix, out / "jta.csv", "coords")
-    export_matrix(matrix, out / "jta.csv", "polar")
+    export_matrix(matrix, out / "jta.csv")
     jsa = jta_to_jsa(matrix)
-    export_matrix(jsa, out / "jsa.csv", "coords")
-    export_matrix(jsa, out / "jsa.csv", "polar")
-    for axis, name in (("signal", "marginal_signal.csv"),
-                       ("idler", "marginal_idler.csv")):
-        sgrid = jsa.grid_s if axis == "signal" else jsa.grid_i
-        _write_marginal(out / name, sgrid.omega, marginal_spectrum(jsa, axis=axis))
+    export_matrix(jsa, out / "jsa.csv")
+    for axis, sgrid in (("signal", jsa.grid_s), ("idler", jsa.grid_i)):
+        _write_csv(out / f"marginal_{axis}.csv", ["detuning", "intensity"],
+                   _float_rows(np.column_stack(
+                       (sgrid.omega, marginal_spectrum(jsa, axis=axis)))))
 
     doc = _metrics_document(cfg, pm, notes, regime_result, args)
     with open(out / "metrics.json", "w", encoding="utf-8") as fh:
@@ -213,12 +204,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _load_sweep_spec(path):
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"line {exc.lineno} column {exc.colno}: invalid JSON: {exc.msg}") from exc
+    raw, _ = read_json(path)
     if not isinstance(raw, dict):
         raise ConfigError("sweep root: expected a JSON object")
     errors = []
@@ -266,9 +252,11 @@ def _load_sweep_spec(path):
           or not all(isinstance(m, str) for m in models)):
         errors.append("sweep.models: expected a nonempty list of model names")
     else:
-        for m in models:
+        for i, m in enumerate(models):
             if m not in MODEL_NAMES:
                 errors.append(f"sweep.models: unknown model {m!r}")
+            elif m in models[:i]:
+                errors.append(f"sweep.models: duplicate model {m!r}")
     for key in raw:
         if key not in {"parameter", "values", "start", "stop", "count", "models"}:
             errors.append(f"sweep.{key}: unknown key")
@@ -351,10 +339,7 @@ def _cmd_sweep(args) -> int:
     out = Path(args.out)
     if out.parent and not out.parent.exists():
         out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    _write_csv(out, header, rows)
     print(f"wrote {len(rows)} sweep rows to {out}")
     return 0
 

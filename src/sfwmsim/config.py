@@ -344,14 +344,24 @@ def config_from_dict(raw: dict, text: str = "",
     return cfg
 
 
-def load_config(path, grid_points: int | None = None,
-                span_sigmas: float | None = None) -> SimulationConfig:
-    """Read, parse, and validate a JSON config file."""
-    text = Path(path).read_text(encoding="utf-8")
+def read_json(path):
+    """Read a UTF-8 JSON file as (parsed value, text); errors are line-anchored."""
     try:
-        raw = json.loads(text)
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"line {line}: invalid UTF-8: {exc.reason} "
+                          f"(byte 0x{exc.object[exc.start]:02x})") from exc
+    try:
+        return json.loads(text), text
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"line {exc.lineno} column {exc.colno}: invalid JSON: {exc.msg}") from exc
+
+
+def load_config(path, grid_points: int | None = None,
+                span_sigmas: float | None = None) -> SimulationConfig:
+    """Read, parse, and validate a JSON config file."""
+    raw, text = read_json(path)
     return config_from_dict(raw, text=text, grid_points=grid_points,
                             span_sigmas=span_sigmas)

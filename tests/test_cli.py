@@ -5,8 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from sfwmsim import gaussian_eta, gaussian_nu, gaussian_purity
-from sfwmsim.cli import main, read_matrix_coords
+from sfwmsim import (FilterPair, TemporalGrid, filtered_jta, gaussian_eta,
+                     gaussian_nu, gaussian_purity, jta_simple, jta_to_jsa,
+                     load_config, marginal_spectrum)
+from sfwmsim.cli import (build_diagonal_jta, export_matrix, main,
+                         read_matrix_coords)
+from conftest import make_filters, make_pump, make_waveguide
 
 BASE = {
     "pump": {"P0": 0.1, "sigma_t": 1.0},
@@ -64,6 +68,107 @@ def test_exported_matrix_round_trips(tmp_path):
     phase = np.loadtxt(out / "jta_phase.csv", delimiter=",", skiprows=1)[:, 1:]
     np.testing.assert_array_equal(mag, np.abs(values))
     np.testing.assert_array_equal(phase, np.angle(values))
+
+
+def _reference_coordinates(grid):
+    return grid.tau if hasattr(grid, "tau") else grid.omega
+
+
+def _reference_export(matrix, path):
+    """The per-element csv.writer loops that used to write the three matrix
+    views; the exporter must keep their bytes."""
+    cs = _reference_coordinates(matrix.grid_s)
+    ci = _reference_coordinates(matrix.grid_i)
+    vals = matrix.values
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["row_coord", "col_coord", "re", "im"])
+        for j in range(len(cs)):
+            rcoord = repr(float(cs[j]))
+            row = vals[j]
+            for k in range(len(ci)):
+                writer.writerow([rcoord, repr(float(ci[k])),
+                                 repr(float(row[k].real)),
+                                 repr(float(row[k].imag))])
+    mag_path = path.with_name(path.stem + "_magnitude.csv")
+    phase_path = path.with_name(path.stem + "_phase.csv")
+    header = ["coord"] + [repr(float(c)) for c in ci]
+    for out_path, table in ((mag_path, np.abs(vals)), (phase_path, np.angle(vals))):
+        with open(out_path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for j in range(len(cs)):
+                writer.writerow([repr(float(cs[j]))]
+                                + [repr(float(x)) for x in table[j]])
+    return [path, mag_path, phase_path]
+
+
+def _reference_marginal(path, omega, spectrum):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["detuning", "intensity"])
+        for w, s in zip(omega, spectrum):
+            writer.writerow([repr(float(w)), repr(float(s))])
+
+
+def _example_matrix(kind):
+    pump = make_pump(phi_max=1.0)
+    diag = jta_simple(pump, make_waveguide(), TemporalGrid(n_points=16, dt=0.75))
+    if kind == "single_sided":
+        # signal filtered onto 8 output times, idler left on the 16-point diagonal
+        return filtered_jta(diag, make_filters(2, 0, pump),
+                            out_grid=TemporalGrid(n_points=8, dt=1.0))
+    matrix = filtered_jta(diag, make_filters(2, 3, pump))
+    return jta_to_jsa(matrix) if kind == "frequency" else matrix
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("kind", ["time", "frequency", "single_sided"])
+def test_export_matrix_bytes_match_the_reference_writer(tmp_path, kind):
+    matrix = _example_matrix(kind)
+    paths = export_matrix(matrix, tmp_path / "m.csv")
+    assert [p.name for p in paths] == ["m.csv", "m_magnitude.csv", "m_phase.csv"]
+    for new, ref in zip(paths, _reference_export(matrix, tmp_path / "ref.csv")):
+        assert new.read_bytes() == ref.read_bytes(), new.name
+
+
+@pytest.mark.parametrize("kind", ["time", "frequency", "single_sided"])
+def test_read_matrix_coords_is_bit_exact(tmp_path, kind):
+    matrix = _example_matrix(kind)
+    export_matrix(matrix, tmp_path / "m.csv")
+    rows, cols, values = read_matrix_coords(tmp_path / "m.csv")
+    assert values.shape == matrix.values.shape
+    np.testing.assert_array_equal(_bits(values), _bits(matrix.values))
+    np.testing.assert_array_equal(_bits(rows), _bits(_reference_coordinates(matrix.grid_s)))
+    np.testing.assert_array_equal(_bits(cols), _bits(_reference_coordinates(matrix.grid_i)))
+
+
+def test_simulate_csv_files_match_the_reference_writer(tmp_path):
+    raw = json.loads(json.dumps(BASE))
+    raw["model"] = "simple_sxpm"
+    raw["filters"]["idler"]["sigma_f"] = 0.125
+    raw["grid"]["n_points"] = 64
+    cfg_path = _write_config(tmp_path, raw)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+    cfg = load_config(cfg_path)
+    matrix = filtered_jta(build_diagonal_jta(cfg),
+                          FilterPair(cfg.signal_filter, cfg.idler_filter))
+    jsa = jta_to_jsa(matrix)
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    _reference_export(matrix, ref / "jta.csv")
+    _reference_export(jsa, ref / "jsa.csv")
+    for axis, grid in (("signal", jsa.grid_s), ("idler", jsa.grid_i)):
+        _reference_marginal(ref / f"marginal_{axis}.csv", grid.omega,
+                            marginal_spectrum(jsa, axis=axis))
+    names = sorted(p.name for p in ref.iterdir())
+    assert names == sorted(OUTPUT_FILES[1:])
+    for name in names:
+        assert (out / name).read_bytes() == (ref / name).read_bytes(), name
 
 
 def test_marginals_are_positive_and_peaked_at_zero(tmp_path):
@@ -254,6 +359,7 @@ def test_sweep_eta_imag_column(tmp_path):
     {"parameter": "phi_max", "values": [], "models": ["linear"]},
     {"parameter": "phi_max", "start": 0.0, "stop": 1.0, "count": 1,
      "models": ["linear"]},
+    {"parameter": "phi_max", "values": [0.1], "models": ["linear", "linear"]},
 ])
 def test_sweep_spec_validation(tmp_path, bad, capsys):
     cfg = _write_config(tmp_path)
@@ -262,6 +368,36 @@ def test_sweep_spec_validation(tmp_path, bad, capsys):
     assert main(["sweep", "--config", cfg, "--sweep", str(sweep),
                  "--out", str(out)]) == 2
     assert "sweep" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, bad_file, line", [
+    ("validate", "config", 3), ("simulate", "config", 3),
+    ("sweep", "config", 3), ("sweep", "sweep", 7),
+])
+def test_invalid_utf8_is_a_config_error(tmp_path, capsys, command, bad_file, line):
+    cfg_bytes = json.dumps(BASE, indent=2).encode()
+    sweep_bytes = json.dumps({"parameter": "phi_max", "values": [0.1],
+                              "models": ["linear"]}, indent=2).encode()
+    # one 0xff byte inside "P0" (line 3 of the config) or "linear" (line 7 of the sweep)
+    if bad_file == "config":
+        cfg_bytes = cfg_bytes.replace(b'"P0"', b'"P\xff0"')
+    else:
+        sweep_bytes = sweep_bytes.replace(b'"linear"', b'"linear\xff"')
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(cfg_bytes)
+    sweep = tmp_path / "sweep.json"
+    sweep.write_bytes(sweep_bytes)
+    out = tmp_path / "out"
+    args = [command, "--config", str(cfg)]
+    if command == "sweep":
+        args += ["--sweep", str(sweep)]
+    if command != "validate":
+        args += ["--out", str(out)]
+    assert main(args) == 2
+    assert (f"line {line}: invalid UTF-8: invalid start byte (byte 0xff)"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("spec, message", [
