@@ -12,11 +12,10 @@ from .errors import (AccuracyError, AccuracyWarning, ConfigError,
                      CostGuardError, DegenerateInputError,
                      ModelCompatibilityError, SimulationError,
                      UndefinedEfficiencyError)
-from .filtering import (DeltaMarker, FilterPair, FilterSpec,
-                        JointAmplitudeMatrix, SeriesResult, filtered_jta,
-                        filtered_jta_gaussian_series, filtered_jta_linear_gaussian,
-                        gaussian_time_kernel, overlap, overlap_sampled,
-                        time_kernel)
+from .filtering import (FilterPair, FilterSpec, JointAmplitudeMatrix,
+                        SeriesResult, filtered_jta, filtered_jta_gaussian_series,
+                        filtered_jta_linear_gaussian, gaussian_time_kernel,
+                        overlap)
 from .grids import TemporalGrid, build_temporal_grid
 from .jta import (DiagonalJTA, jta_general, jta_linear, jta_simple, jta_sinc)
 from .metrics import (LOW_EXCITATION_BOUND, PairMetrics, SchmidtDecomposition,
@@ -36,7 +35,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccuracyError", "AccuracyWarning", "ConfigError", "CostGuardError",
-    "DegenerateInputError", "DeltaMarker", "DiagonalJTA", "FilterPair",
+    "DegenerateInputError", "DiagonalJTA", "FilterPair",
     "FilterSpec", "JointAmplitudeMatrix", "LOW_EXCITATION_BOUND",
     "MODEL_NAMES", "Material", "ModeProfile", "ModelCompatibilityError",
     "PairMetrics", "PumpPulse", "RegimeCheckResult", "RegimeCheckSpec",
@@ -50,9 +49,9 @@ __all__ = [
     "heralding_efficiency", "jsa_linear_gaussian", "jsa_linear_unfiltered",
     "jsa_to_jta", "jta_general", "jta_linear", "jta_simple", "jta_sinc",
     "jta_to_jsa", "load_config", "marginal_spectrum", "nonlinear_parameter",
-    "nonlinear_phase", "overlap", "overlap_sampled", "pair_probability",
+    "nonlinear_phase", "overlap", "pair_probability",
     "phi_max", "propagate_power", "pump_power_profile", "purity_quadrature",
     "purity_schmidt", "schmidt_mode_count", "single_sided_eta",
-    "single_sided_purity", "time_kernel", "validate_config",
+    "single_sided_purity", "validate_config",
     "validate_low_excitation",
 ]

@@ -1,9 +1,9 @@
 """Spectral filters as time-domain kernels, overlap functions, and the
 construction of the filtered two-time amplitude.
 
-An unfiltered side (shape "none") is handled symbolically as a Dirac-delta
-kernel rather than as a narrow sampled Gaussian, so the exact single-sided
-results stay grid-independent.
+An unfiltered side (shape "none") enters the filtered amplitude as a
+Dirac-delta kernel of weight sqrt(2 pi) rather than as a narrow sampled
+Gaussian, so the exact single-sided results stay grid-independent.
 """
 
 from __future__ import annotations
@@ -16,25 +16,12 @@ import numpy as np
 from .errors import ConfigError, ModelCompatibilityError
 from .grids import TemporalGrid
 from .jta import DiagonalJTA, _LOSSY_MSG
-from .pump import PumpPulse, Waveguide, pump_power_profile
+from .pump import PumpPulse, Waveguide
 
 FILTER_SHAPES = ("gaussian", "none")
 
 # integral of the time kernel: sqrt(2)*sigma_f*exp(-sigma_f^2 tau^2) -> sqrt(2 pi) * delta
 DELTA_KERNEL_WEIGHT = math.sqrt(2.0 * math.pi)
-# wide-filter limit of the overlap function: 2*sqrt(2)*pi * delta
-DELTA_OVERLAP_WEIGHT = 2.0 * math.sqrt(2.0) * math.pi
-
-
-@dataclass(frozen=True)
-class DeltaMarker:
-    """Symbolic weight * delta(x) stand-in returned for unfiltered sides."""
-
-    weight: float
-
-
-DELTA_TIME_KERNEL = DeltaMarker(DELTA_KERNEL_WEIGHT)
-DELTA_OVERLAP = DeltaMarker(DELTA_OVERLAP_WEIGHT)
 
 
 @dataclass(frozen=True)
@@ -86,33 +73,18 @@ def gaussian_time_kernel(sigma_f: float, x):
     return math.sqrt(2.0) * sigma_f * np.exp(-(sigma_f ** 2) * x ** 2)
 
 
-def time_kernel(filt: FilterSpec, grid: TemporalGrid):
-    """Sampled time kernel of a filter; a DeltaMarker for an unfiltered side."""
-    if not filt.is_gaussian:
-        return DELTA_TIME_KERNEL
-    return gaussian_time_kernel(filt.sigma_f, grid.tau)
-
-
 def overlap(filt: FilterSpec, dT):
     """Self-overlap of a filter's time kernel at detection-time separation dT.
 
-    Gaussian closed form sigma_f*sqrt(2 pi)*exp(-sigma_f^2 dT^2 / 4); the
-    unfiltered side returns the symbolic delta marker.
+    Gaussian closed form sigma_f*sqrt(2 pi)*exp(-sigma_f^2 dT^2 / 4). An
+    unfiltered side has no overlap function; callers use the single-sided
+    closed forms instead.
     """
     if not filt.is_gaussian:
-        return DELTA_OVERLAP
+        raise ConfigError("overlap is defined for gaussian filters only")
     dT = np.asarray(dT, dtype=float)
     s = filt.sigma_f
     return s * math.sqrt(2.0 * math.pi) * np.exp(-(s ** 2) * dT ** 2 / 4.0)
-
-
-def overlap_sampled(kernel_a: np.ndarray, kernel_b: np.ndarray,
-                    grid: TemporalGrid) -> float:
-    """Trapezoid overlap of two sampled kernels on a common grid.
-
-    Kept generic so non-Gaussian sampled shapes can reuse the machinery.
-    """
-    return float(np.sum(grid.trapezoid_weights * kernel_a * kernel_b))
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,6 +9,7 @@ sqrt(2) reappears inside the overlap arguments.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -69,21 +70,22 @@ def pair_probability(diag: DiagonalJTA, filters: FilterPair, conjugated: bool = 
     if not sig.is_gaussian:
         return single_sided_eta(diag, idl)
 
-    def _quad(values, tau, w):
+    def _quad(values, k, w):
         v = w * values
-        k = _overlap_matrix(sig, tau) * _overlap_matrix(idl, tau)
         if conjugated:
             return float(np.real(np.conj(v) @ k @ v)) / (4.0 * math.pi ** 2)
         return complex(v @ k @ v) / (4.0 * math.pi ** 2)
 
     grid = diag.grid
-    eta = _quad(diag.values, grid.tau, grid.trapezoid_weights)
+    k = _overlap_matrix(sig, grid.tau) * _overlap_matrix(idl, grid.tau)
+    eta = _quad(diag.values, k, grid.trapezoid_weights)
     if verify_resolution and grid.n_points // 2 >= 8:
-        tau_c = grid.tau[::2]
-        w_c = np.full(tau_c.size, 2.0 * grid.dt)
+        # K depends on tau differences only, so K[::2, ::2] is the kernel of
+        # the half grid TemporalGrid(n // 2, 2 dt)
+        w_c = np.full(grid.n_points // 2, 2.0 * grid.dt)
         w_c[0] *= 0.5
         w_c[-1] *= 0.5
-        eta_c = _quad(diag.values[::2], tau_c, w_c)
+        eta_c = _quad(diag.values[::2], k[::2, ::2], w_c)
         scale = max(abs(eta), abs(eta_c), 1e-300)
         if abs(eta - eta_c) / scale > 1e-6:
             warnings.warn(
@@ -241,44 +243,35 @@ def compute_pair_metrics(diag: DiagonalJTA, filters: FilterPair,
                          verify_resolution: bool = False) -> PairMetrics:
     """Assemble the standard metric set for one configuration.
 
-    A zero amplitude (zero pump) reports eta 0 and leaves the conditional
-    quantities unset rather than raising, which keeps sweeps through zero
-    power usable.
+    An eta that is zero or underflows (zero or vanishingly weak pump) is
+    reported as eta 0 with the conditional quantities unset rather than
+    raising or dividing by a subnormal, which keeps sweeps through zero
+    power usable. nu reuses the eta computed here: it is the same ratio
+    ``heralding_efficiency`` returns.
     """
     sig, idl = filters.signal, filters.idler
-    if not sig.is_gaussian and not idl.is_gaussian:
-        raise ConfigError("metrics need at least one gaussian filter")
-
-    if not np.any(np.abs(diag.values) > 0.0):
+    # raises ConfigError when neither side is gaussian
+    eta_phys = pair_probability(diag, filters, conjugated=True,
+                                verify_resolution=verify_resolution)
+    if eta_phys < sys.float_info.min:
         return PairMetrics(eta=0.0, purity=None, nu=None, schmidt_weights=None,
                            low_excitation_ok=True)
 
-    eta_imag = None
+    if matrix is None:
+        matrix = filtered_jta(diag, filters)
+    schmidt = purity_schmidt(matrix)
+    eta_report, eta_imag = eta_phys, None
     if sig.is_gaussian and idl.is_gaussian:
-        eta_phys = pair_probability(diag, filters, conjugated=True,
-                                    verify_resolution=verify_resolution)
         if not conjugated:
             raw = pair_probability(diag, filters, conjugated=False)
             eta_report, eta_imag = raw.real, raw.imag
-        else:
-            eta_report = eta_phys
-        if matrix is None:
-            matrix = filtered_jta(diag, filters)
-        schmidt = purity_schmidt(matrix)
         purity = schmidt.purity
-        weights = schmidt.weights
-        nu = heralding_efficiency(diag, filters)
+        nu = eta_phys / single_sided_eta(diag, sig)
     else:
-        herald = sig if sig.is_gaussian else idl
-        eta_phys = single_sided_eta(diag, herald)
-        eta_report = eta_phys
-        purity = single_sided_purity(diag, herald)
-        if matrix is None:
-            matrix = filtered_jta(diag, filters)
-        weights = purity_schmidt(matrix).weights
+        purity = single_sided_purity(diag, sig if sig.is_gaussian else idl)
         nu = 1.0 if sig.is_gaussian else None
 
     ok, _ = validate_low_excitation(eta_phys)
     return PairMetrics(eta=float(eta_report), purity=purity, nu=nu,
-                       schmidt_weights=weights, low_excitation_ok=ok,
+                       schmidt_weights=schmidt.weights, low_excitation_ok=ok,
                        eta_imag=eta_imag)

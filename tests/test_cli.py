@@ -55,6 +55,19 @@ def test_simulate_writes_everything(tmp_path):
     assert len(doc["schmidt_weights"]) <= 16
 
 
+def test_simulate_underflowing_pump_reports_zero_eta(tmp_path):
+    raw = json.loads(json.dumps(BASE))
+    raw["pump"]["P0"] = 1e-200
+    raw["grid"]["n_points"] = 64
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", _write_config(tmp_path, raw),
+                 "--out", str(out)]) == 0
+    doc = json.loads((out / "metrics.json").read_text())
+    assert doc["eta"] == 0.0
+    assert doc["purity"] is None and doc["nu"] is None
+    assert any("zero pump" in note for note in doc["warnings"])
+
+
 def test_exported_matrix_round_trips(tmp_path):
     cfg = _write_config(tmp_path)
     out = tmp_path / "out"

@@ -3,13 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from sfwmsim import (ConfigError, DeltaMarker, FilterPair, FilterSpec,
-                     JointAmplitudeMatrix, ModelCompatibilityError,
-                     TemporalGrid, filtered_jta, filtered_jta_gaussian_series,
-                     filtered_jta_linear_gaussian, gaussian_time_kernel,
-                     jta_linear, jta_simple, overlap, overlap_sampled,
-                     time_kernel)
-from sfwmsim.filtering import DELTA_KERNEL_WEIGHT, DELTA_OVERLAP_WEIGHT
+from sfwmsim import (ConfigError, FilterPair, FilterSpec, JointAmplitudeMatrix,
+                     ModelCompatibilityError, TemporalGrid, filtered_jta,
+                     filtered_jta_gaussian_series, filtered_jta_linear_gaussian,
+                     gaussian_time_kernel, jta_linear, jta_simple, overlap)
+from sfwmsim.filtering import DELTA_KERNEL_WEIGHT
 from conftest import make_filters, make_grid, make_pump, make_waveguide
 
 TWO_PI = 2.0 * math.pi
@@ -46,26 +44,12 @@ def test_overlap_decay():
     assert ratio == pytest.approx(math.exp(-1.0), rel=1e-12)
 
 
-def test_sampled_overlap_matches_closed_form():
-    pump = make_pump()
-    grid = make_grid(pump, [FilterSpec(sigma_f=0.3)], n_points=512)
-    f1 = gaussian_time_kernel(0.3, grid.tau)
-    f2 = gaussian_time_kernel(0.7, grid.tau)
-    got = overlap_sampled(f1, f2, grid)
-    want = 2.0 * 0.3 * 0.7 * math.sqrt(math.pi / (0.3 ** 2 + 0.7 ** 2))
-    assert got == pytest.approx(want, rel=1e-10)
-
-
-def test_unfiltered_side_returns_delta_markers():
-    grid = TemporalGrid(n_points=16, dt=0.5)
-    marker = time_kernel(FilterSpec.unfiltered(), grid)
-    assert isinstance(marker, DeltaMarker)
-    assert marker.weight == pytest.approx(math.sqrt(TWO_PI))
-    omarker = overlap(FilterSpec.unfiltered(), 0.0)
-    assert isinstance(omarker, DeltaMarker)
-    assert omarker.weight == pytest.approx(2.0 * math.sqrt(2.0) * math.pi)
+def test_unfiltered_side_has_no_overlap():
+    # every metric dispatches on is_gaussian first; only the filtered
+    # amplitude uses the delta kernel, through its weight
+    with pytest.raises(ConfigError, match="gaussian filters only"):
+        overlap(FilterSpec.unfiltered(), 0.0)
     assert DELTA_KERNEL_WEIGHT == pytest.approx(math.sqrt(TWO_PI))
-    assert DELTA_OVERLAP_WEIGHT == pytest.approx(2.0 * math.sqrt(2.0) * math.pi)
 
 
 def test_joint_matrix_validation():

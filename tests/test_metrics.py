@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from sfwmsim import (AccuracyWarning, ConfigError, CostGuardError,
                      DegenerateInputError, DiagonalJTA, FilterPair, FilterSpec,
-                     UndefinedEfficiencyError, compute_pair_metrics,
+                     TemporalGrid, UndefinedEfficiencyError, compute_pair_metrics,
                      filtered_jta_linear_gaussian, gaussian_eta, gaussian_nu,
                      gaussian_purity, heralding_efficiency, jta_linear,
                      jta_simple, pair_probability, purity_quadrature,
@@ -69,8 +70,26 @@ def test_resolution_check_warns_on_a_coarse_grid():
     filters = make_filters(2.0, 2.0, pump)
     grid = make_grid(pump, [filters.signal, filters.idler], n_points=64)
     diag = jta_simple(pump, wg, grid)
-    with pytest.warns(AccuracyWarning, match="coarsening"):
+    with pytest.warns(AccuracyWarning, match="coarsening") as record:
         pair_probability(diag, filters, verify_resolution=True)
+    # the sentinel's coarse eta is the eta of the half grid (measured 5.46e-02)
+    rel = _half_grid_drift(pump, wg, filters, grid)
+    assert rel > 1e-2
+    assert f"changed by {rel:.2e} relative" in str(record[0].message)
+
+    fine = make_grid(pump, [filters.signal, filters.idler], n_points=512)
+    assert _half_grid_drift(pump, wg, filters, fine) < 1e-6  # measured 2.1e-15
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AccuracyWarning)
+        pair_probability(jta_simple(pump, wg, fine), filters, verify_resolution=True)
+
+
+def _half_grid_drift(pump, wg, filters, grid):
+    half = TemporalGrid(n_points=grid.n_points // 2, dt=2.0 * grid.dt,
+                        center=grid.center)
+    eta = pair_probability(jta_simple(pump, wg, grid), filters)
+    eta_half = pair_probability(jta_simple(pump, wg, half), filters)
+    return abs(eta - eta_half) / max(abs(eta), abs(eta_half))
 
 
 def test_single_sided_eta_anchor():
@@ -230,11 +249,31 @@ def test_compute_pair_metrics_standard_fields():
     assert pm.schmidt_weights is not None
     assert pm.low_excitation_ok
     assert pm.eta_imag is None
+    # eta and nu are the very floats the public functions return
+    for model, phi in ((jta_linear, 0.1), (jta_simple, 1.0)):
+        for lam, mu in ((2.0, 2.0), (1.0, 3.0)):
+            pump, wg, filters, grid = _linear_setup(phi, lam, mu, n_points=256)
+            diag = model(pump, wg, grid)
+            pm = compute_pair_metrics(diag, filters)
+            assert pm.eta == pair_probability(diag, filters)
+            assert pm.nu == heralding_efficiency(diag, filters)
 
 
 def test_compute_pair_metrics_zero_pump():
     pump, wg, filters, grid = _linear_setup(0.0, 2.0, 2.0, n_points=64)
     pm = compute_pair_metrics(jta_linear(pump, wg, grid), filters)
+    assert pm.eta == 0.0
+    assert pm.purity is None and pm.nu is None and pm.schmidt_weights is None
+    assert pm.low_excitation_ok
+
+
+@pytest.mark.parametrize("phi", [1e-160, 1e-200])
+def test_compute_pair_metrics_underflowing_eta_is_zero_pump(phi):
+    # eta ~ phi^2 is subnormal or zero: purity and nu would divide by it
+    pump, wg, filters, grid = _linear_setup(phi, 2.0, 2.0, n_points=64)
+    diag = jta_linear(pump, wg, grid)
+    assert np.any(diag.values != 0.0)
+    pm = compute_pair_metrics(diag, filters, verify_resolution=True)
     assert pm.eta == 0.0
     assert pm.purity is None and pm.nu is None and pm.schmidt_weights is None
     assert pm.low_excitation_ok

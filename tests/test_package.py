@@ -1,0 +1,34 @@
+import ast
+from pathlib import Path
+
+import sfwmsim
+
+SRC = Path(sfwmsim.__file__).parent
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line}: {name}" for name, line in imported.items()
+            if name not in used]
+
+
+def test_imports_are_used_and_exports_resolve_once():
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    unused = [entry for path in modules for entry in _unused_imports(path)]
+    assert unused == []
+
+    exported = sfwmsim.__all__
+    duplicates = sorted({name for name in exported if exported.count(name) > 1})
+    assert duplicates == []
+    missing = [name for name in exported if not hasattr(sfwmsim, name)]
+    assert missing == []
