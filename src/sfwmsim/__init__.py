@@ -9,14 +9,13 @@ rad/ps, and the nonlinear parameter gamma in 1/(W m).
 from .config import (MODEL_NAMES, RegimeCheckSpec, SimulationConfig,
                      config_from_dict, load_config, validate_config)
 from .errors import (AccuracyError, AccuracyWarning, ConfigError,
-                     CostGuardError, DegenerateInputError,
-                     ModelCompatibilityError, SimulationError,
-                     UndefinedEfficiencyError)
+                     DegenerateInputError, ModelCompatibilityError,
+                     SimulationError, UndefinedEfficiencyError)
 from .filtering import (FilterPair, FilterSpec, JointAmplitudeMatrix,
                         SeriesResult, filtered_jta, filtered_jta_gaussian_series,
                         filtered_jta_linear_gaussian, gaussian_time_kernel,
                         overlap)
-from .grids import TemporalGrid, build_temporal_grid
+from .grids import SpectralGrid, TemporalGrid, build_temporal_grid
 from .jta import (DiagonalJTA, jta_general, jta_linear, jta_simple, jta_sinc)
 from .metrics import (LOW_EXCITATION_BOUND, PairMetrics, SchmidtDecomposition,
                       compute_pair_metrics, gaussian_eta, gaussian_nu,
@@ -28,16 +27,16 @@ from .pump import (Material, ModeProfile, PumpPulse, RegimeCheckResult,
                    Waveguide, check_free_carrier_regime, effective_area,
                    effective_length, nonlinear_parameter, nonlinear_phase,
                    phi_max, propagate_power, pump_power_profile)
-from .spectral import (SpectralGrid, jsa_linear_gaussian, jsa_linear_unfiltered,
-                       jsa_to_jta, jta_to_jsa, marginal_spectrum)
+from .spectral import (jsa_linear_gaussian, jsa_linear_unfiltered, jsa_to_jta,
+                       jta_to_jsa, marginal_spectrum)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccuracyError", "AccuracyWarning", "ConfigError", "CostGuardError",
-    "DegenerateInputError", "DiagonalJTA", "FilterPair",
-    "FilterSpec", "JointAmplitudeMatrix", "LOW_EXCITATION_BOUND",
-    "MODEL_NAMES", "Material", "ModeProfile", "ModelCompatibilityError",
+    "AccuracyError", "AccuracyWarning", "ConfigError", "DegenerateInputError",
+    "DiagonalJTA", "FilterPair", "FilterSpec", "JointAmplitudeMatrix",
+    "LOW_EXCITATION_BOUND", "MODEL_NAMES", "Material", "ModeProfile",
+    "ModelCompatibilityError",
     "PairMetrics", "PumpPulse", "RegimeCheckResult", "RegimeCheckSpec",
     "SchmidtDecomposition", "SeriesResult", "SimulationConfig",
     "SimulationError", "SpectralGrid", "TemporalGrid",

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -24,8 +25,8 @@ from .errors import AccuracyError, AccuracyWarning, ConfigError
 from .filtering import FilterPair, JointAmplitudeMatrix, filtered_jta
 from .grids import build_temporal_grid
 from .jta import DiagonalJTA, jta_general, jta_linear, jta_simple, jta_sinc
-from .metrics import (compute_pair_metrics, pair_probability,
-                      schmidt_mode_count, validate_low_excitation)
+from .metrics import (compute_pair_metrics, schmidt_mode_count,
+                      validate_low_excitation)
 from .pump import check_free_carrier_regime, phi_max
 from .spectral import jta_to_jsa, marginal_spectrum
 
@@ -120,9 +121,7 @@ def _evaluate(cfg: SimulationConfig, conjugated: bool, literal_z: bool):
     elif pm.nu is None and not filters.signal.is_gaussian:
         notes.append("nu: undefined without a signal filter")
     if not pm.low_excitation_ok:
-        eta_phys = (pm.eta if conjugated
-                    else pair_probability(diag, filters, conjugated=True))
-        notes.append(validate_low_excitation(eta_phys)[1])
+        notes.append(validate_low_excitation(pm.eta_conjugated)[1])
     return diag, matrix, pm, notes
 
 
@@ -319,22 +318,31 @@ def _cmd_sweep(args) -> int:
         header.append("eta_imag")
     header += ["purity", "nu", "n_schmidt_modes_99", "warnings"]
 
+    # every point is built and validated before the first one is evaluated
+    points, errors = [], []
+    for value, model in itertools.product(values, models):
+        try:
+            points.append((value, model, _sweep_variant(cfg, param, value, model)))
+        except ConfigError as exc:
+            errors += [f"sweep {param}={float(value)!r}, model {model!r}: {v}"
+                       for v in exc.violations]
+    if errors:
+        raise ConfigError("invalid sweep:\n  " + "\n  ".join(errors), violations=errors)
+
     rows = []
-    for value in values:
-        for model in models:
-            variant = _sweep_variant(cfg, param, value, model)
-            _, _, pm, notes = _evaluate(variant, conjugated=conjugated,
-                                        literal_z=args.as_printed_eq9)
-            n99 = (schmidt_mode_count(pm.schmidt_weights)
-                   if pm.schmidt_weights is not None else None)
-            row = [repr(float(value)), model, repr(pm.eta)]
-            if args.non_conjugated_eta:
-                row.append("" if pm.eta_imag is None else repr(pm.eta_imag))
-            row += ["" if pm.purity is None else repr(pm.purity),
-                    "" if pm.nu is None else repr(pm.nu),
-                    "" if n99 is None else str(n99),
-                    "; ".join(notes)]
-            rows.append(row)
+    for value, model, variant in points:
+        _, _, pm, notes = _evaluate(variant, conjugated=conjugated,
+                                    literal_z=args.as_printed_eq9)
+        n99 = (schmidt_mode_count(pm.schmidt_weights)
+               if pm.schmidt_weights is not None else None)
+        row = [repr(float(value)), model, repr(pm.eta)]
+        if args.non_conjugated_eta:
+            row.append("" if pm.eta_imag is None else repr(pm.eta_imag))
+        row += ["" if pm.purity is None else repr(pm.purity),
+                "" if pm.nu is None else repr(pm.nu),
+                "" if n99 is None else str(n99),
+                "; ".join(notes)]
+        rows.append(row)
 
     out = Path(args.out)
     if out.parent and not out.parent.exists():

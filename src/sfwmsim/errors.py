@@ -43,9 +43,5 @@ class DegenerateInputError(SimulationError):
     """Input is identically zero (or otherwise carries no usable signal)."""
 
 
-class CostGuardError(SimulationError):
-    """A deliberately expensive cross-check was invoked on too large a grid."""
-
-
 class UndefinedEfficiencyError(SimulationError):
     """Heralding efficiency requested where its defining ratio does not exist."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ModelCompatibilityError
-from .grids import TemporalGrid
+from .grids import SpectralGrid, TemporalGrid
 from .jta import DiagonalJTA, _LOSSY_MSG
 from .pump import PumpPulse, Waveguide
 
@@ -92,14 +92,16 @@ class JointAmplitudeMatrix:
     """Dense two-coordinate amplitude, in time or frequency domain.
 
     Rows run over the signal coordinate, columns over the idler coordinate.
+    Both grids are of one type, which fixes the domain.
     """
 
-    grid_s: object
-    grid_i: object
+    grid_s: TemporalGrid | SpectralGrid
+    grid_i: TemporalGrid | SpectralGrid
     values: np.ndarray
-    domain_tag: str = "time"
 
     def __post_init__(self):
+        if type(self.grid_s) is not type(self.grid_i):
+            raise ConfigError("joint amplitude grids must be of one type")
         v = np.asarray(self.values, dtype=complex)
         if v.ndim != 2:
             raise ConfigError("joint amplitude must be a 2-D matrix")
@@ -107,45 +109,41 @@ class JointAmplitudeMatrix:
             raise ConfigError("joint amplitude shape does not match its grids")
         if not np.all(np.isfinite(v.view(float))):
             raise ConfigError("joint amplitude contains non-finite entries")
-        if self.domain_tag not in ("time", "frequency"):
-            raise ConfigError(f"unknown domain tag {self.domain_tag!r}")
         object.__setattr__(self, "values", v)
 
+    @property
+    def domain_tag(self) -> str:
+        """Derived from the grids: "frequency" on spectral grids, else "time"."""
+        return "frequency" if isinstance(self.grid_s, SpectralGrid) else "time"
 
-def filtered_jta(diag: DiagonalJTA, filters: FilterPair,
-                 out_grid: TemporalGrid | None = None) -> JointAmplitudeMatrix:
+
+def filtered_jta(diag: DiagonalJTA, filters: FilterPair) -> JointAmplitudeMatrix:
     """Two-time amplitude after filtering, by diagonal convolution.
 
     With both filters gaussian each output point is
     (1/2pi) * integral JTA(u) f_s(tau_s - u) f_i(tau_i - u) du, discretized
-    with the trapezoid rule on the diagonal's grid. With exactly one side
-    unfiltered the delta kernel collapses the convolution and broadening
-    occurs along the filtered axis only.
+    with the trapezoid rule on the diagonal's grid, which is also the output
+    grid. With exactly one side unfiltered the delta kernel collapses the
+    convolution and broadening occurs along the filtered axis only.
     """
-    if out_grid is None:
-        out_grid = diag.grid
-    tau_u = diag.grid.tau
-    w = diag.grid.trapezoid_weights
-    tau_out = out_grid.tau
-
     sig, idl = filters.signal, filters.idler
-    if sig.is_gaussian and idl.is_gaussian:
-        a = gaussian_time_kernel(sig.sigma_f, tau_out[:, None] - tau_u[None, :])
-        b = gaussian_time_kernel(idl.sigma_f, tau_out[:, None] - tau_u[None, :])
-        values = (a * (w * diag.values)[None, :]) @ b.T / (2.0 * math.pi)
-        return JointAmplitudeMatrix(out_grid, out_grid, values, domain_tag="time")
-    if sig.is_gaussian and not idl.is_gaussian:
+    if not (sig.is_gaussian or idl.is_gaussian):
+        raise ConfigError(
+            "both filters are unfiltered: the two-time amplitude is a pure delta "
+            "ridge; use the single-sided metric operations instead")
+    grid = diag.grid
+    tau = grid.tau
+    # the kernels are even in tau_out - u, so one orientation serves both axes
+    a, b = (gaussian_time_kernel(f.sigma_f, tau[:, None] - tau[None, :])
+            if f.is_gaussian else None for f in (sig, idl))
+    if a is not None and b is not None:
+        values = (a * (grid.trapezoid_weights * diag.values)[None, :]) @ b.T / (2.0 * math.pi)
+    elif a is not None:
         # idler stays pinned to the generation time: one delta survives
-        a = gaussian_time_kernel(sig.sigma_f, tau_out[:, None] - tau_u[None, :])
         values = diag.values[None, :] * a * (DELTA_KERNEL_WEIGHT / (2.0 * math.pi))
-        return JointAmplitudeMatrix(out_grid, diag.grid, values, domain_tag="time")
-    if idl.is_gaussian and not sig.is_gaussian:
-        b = gaussian_time_kernel(idl.sigma_f, tau_out[None, :] - tau_u[:, None])
+    else:
         values = diag.values[:, None] * b * (DELTA_KERNEL_WEIGHT / (2.0 * math.pi))
-        return JointAmplitudeMatrix(diag.grid, out_grid, values, domain_tag="time")
-    raise ConfigError(
-        "both filters are unfiltered: the two-time amplitude is a pure delta "
-        "ridge; use the single-sided metric operations instead")
+    return JointAmplitudeMatrix(grid, grid, values)
 
 
 def _gaussian_ratios_or_raise(pulse: PumpPulse, filters: FilterPair) -> tuple[float, float]:
@@ -169,7 +167,7 @@ def filtered_jta_linear_gaussian(pulse: PumpPulse, wg: Waveguide, filters: Filte
     pref = 1j * phi / math.sqrt(math.pi) * sw / math.sqrt(d0)
     values = pref * np.exp(
         -sw ** 2 * (2.0 * (lam ** 2 * ti ** 2 + mu ** 2 * ts ** 2) + (ts - ti) ** 2) / d0)
-    return JointAmplitudeMatrix(out_grid, out_grid, values, domain_tag="time")
+    return JointAmplitudeMatrix(out_grid, out_grid, values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,5 +223,5 @@ def filtered_jta_gaussian_series(pulse: PumpPulse, wg: Waveguide, filters: Filte
         if tail == 0.0:
             break
 
-    matrix = JointAmplitudeMatrix(out_grid, out_grid, values, domain_tag="time")
+    matrix = JointAmplitudeMatrix(out_grid, out_grid, values)
     return SeriesResult(matrix=matrix, n_terms=n, residual_bound=residual)

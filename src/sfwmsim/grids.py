@@ -1,7 +1,7 @@
-"""Uniform, center-origin sampling grids for the time-domain machinery.
+"""Uniform, centred sampling grids: time (ps) and detuning (rad/ps).
 
-All grids are power-of-two sized so the time/frequency bridge is an exact
-unitary DFT pairing.
+Every grid is power-of-two sized and has its zero sample at index n/2, so
+the time/frequency bridge is an exact unitary DFT pairing.
 """
 
 from __future__ import annotations
@@ -22,43 +22,79 @@ def is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def _check_uniform(n_points, step, size_error: str, step_error: str) -> None:
+    """Both grid types need a power-of-two size of at least 8 and a positive step."""
+    if not (isinstance(n_points, (int, np.integer)) and n_points >= 8
+            and is_power_of_two(int(n_points))):
+        raise ConfigError(size_error)
+    if not step > 0:
+        raise ConfigError(step_error)
+
+
+def _trapezoid_weights(n_points: int, step: float) -> np.ndarray:
+    w = np.full(n_points, step)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
+
+
 @dataclass(frozen=True)
 class TemporalGrid:
-    """Uniform time grid (ps), symmetric about ``center``."""
+    """Uniform time grid (ps), symmetric about the origin."""
 
     n_points: int
     dt: float
-    center: float = 0.0
 
     def __post_init__(self):
-        if not (isinstance(self.n_points, (int, np.integer)) and self.n_points >= 8
-                and is_power_of_two(int(self.n_points))):
-            raise ConfigError(
-                f"grid.n_points: {self.n_points!r} is not a power of two >= 8")
-        if not self.dt > 0:
-            raise ConfigError(f"grid.dt: nonpositive step {self.dt!r}")
+        _check_uniform(self.n_points, self.dt,
+                       f"grid.n_points: {self.n_points!r} is not a power of two >= 8",
+                       f"grid.dt: nonpositive step {self.dt!r}")
 
     @property
     def tau(self) -> np.ndarray:
-        """Sample times, index k at (k - n/2)*dt + center."""
-        return (np.arange(self.n_points) - self.n_points // 2) * self.dt + self.center
+        """Sample times, index k at (k - n/2)*dt."""
+        return (np.arange(self.n_points) - self.n_points // 2) * self.dt
 
     @property
     def trapezoid_weights(self) -> np.ndarray:
-        w = np.full(self.n_points, self.dt)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return w
+        return _trapezoid_weights(self.n_points, self.dt)
 
     @property
     def half_width(self) -> float:
         return (self.n_points // 2) * self.dt
 
     def time_at(self, index: int) -> float:
-        return (index - self.n_points // 2) * self.dt + self.center
+        return (index - self.n_points // 2) * self.dt
 
     def index_of(self, time: float) -> int:
-        return int(round((time - self.center) / self.dt)) + self.n_points // 2
+        return int(round(time / self.dt)) + self.n_points // 2
+
+
+@dataclass(frozen=True)
+class SpectralGrid:
+    """Uniform detuning grid (rad/ps), conjugate to a TemporalGrid."""
+
+    n_points: int
+    d_omega: float
+
+    def __post_init__(self):
+        _check_uniform(self.n_points, self.d_omega,
+                       f"spectral grid n_points {self.n_points!r} is not a power of two >= 8",
+                       f"spectral grid d_omega {self.d_omega!r} must be positive")
+
+    @property
+    def omega(self) -> np.ndarray:
+        return (np.arange(self.n_points) - self.n_points // 2) * self.d_omega
+
+    @property
+    def trapezoid_weights(self) -> np.ndarray:
+        return _trapezoid_weights(self.n_points, self.d_omega)
+
+    @classmethod
+    def conjugate_to(cls, grid: TemporalGrid) -> "SpectralGrid":
+        """Grid satisfying d_omega * dt * n = 2 pi."""
+        return cls(n_points=grid.n_points,
+                   d_omega=2.0 * math.pi / (grid.n_points * grid.dt))
 
 
 def build_temporal_grid(pulse, filters: Sequence = (),

@@ -17,7 +17,7 @@ from .grids import TemporalGrid
 from .pump import PumpPulse, Waveguide, nonlinear_phase, propagate_power, pump_power_profile
 
 QUADRATURE_TOL = 1e-8
-DEFAULT_QUADRATURE_ORDER = 64
+QUADRATURE_ORDER = 64
 
 _LOSSY_MSG = "lossy medium requires general_quadrature"
 
@@ -28,7 +28,6 @@ class DiagonalJTA:
 
     grid: TemporalGrid
     values: np.ndarray
-    model_tag: str = "unknown"
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=complex)
@@ -59,7 +58,7 @@ def _sinc(x: np.ndarray) -> np.ndarray:
 def jta_linear(pulse: PumpPulse, wg: Waveguide, grid: TemporalGrid) -> DiagonalJTA:
     """Weak-pump amplitude i*gamma*P(0,tau)*L: purely imaginary, no phase structure."""
     p = pump_power_profile(pulse, grid.tau)
-    return DiagonalJTA(grid, 1j * wg.gamma * wg.length * p, model_tag="linear")
+    return DiagonalJTA(grid, 1j * wg.gamma * wg.length * p)
 
 
 def jta_simple(pulse: PumpPulse, wg: Waveguide, grid: TemporalGrid) -> DiagonalJTA:
@@ -72,7 +71,7 @@ def jta_simple(pulse: PumpPulse, wg: Waveguide, grid: TemporalGrid) -> DiagonalJ
         raise ModelCompatibilityError(_LOSSY_MSG)
     p = pump_power_profile(pulse, grid.tau)
     phase = wg.gamma * wg.length * p
-    return DiagonalJTA(grid, 1j * phase * np.exp(3j * phase), model_tag="simple_sxpm")
+    return DiagonalJTA(grid, 1j * phase * np.exp(3j * phase))
 
 
 def jta_sinc(pulse: PumpPulse, wg: Waveguide, grid: TemporalGrid) -> DiagonalJTA:
@@ -88,7 +87,7 @@ def jta_sinc(pulse: PumpPulse, wg: Waveguide, grid: TemporalGrid) -> DiagonalJTA
     values = (1j * gpl
               * np.exp(1j * (3.0 * gpl + wg.delta_beta0 * wg.length / 2.0))
               * _sinc(half_mismatch))
-    return DiagonalJTA(grid, values, model_tag="sinc")
+    return DiagonalJTA(grid, values)
 
 
 def _general_values(pulse, wg, tau, order, literal_z):
@@ -105,26 +104,23 @@ def _general_values(pulse, wg, tau, order, literal_z):
 
 
 def jta_general(pulse: PumpPulse, wg: Waveguide, grid: TemporalGrid,
-                quadrature_order: int = DEFAULT_QUADRATURE_ORDER,
                 literal_z: bool = False) -> DiagonalJTA:
     """Amplitude from per-sample Gauss-Legendre integration over the waveguide.
 
     Valid for arbitrary loss/two-photon absorption. The integral is evaluated
-    at ``quadrature_order`` and at twice that order; the doubled-order result
+    at ``QUADRATURE_ORDER`` and at twice that order; the doubled-order result
     is returned, and a relative change above 1e-8 between the two raises an
     AccuracyError carrying both estimates.
     """
-    if quadrature_order < 8:
-        raise ConfigError(f"quadrature_order must be >= 8, got {quadrature_order}")
     tau = grid.tau
-    coarse = _general_values(pulse, wg, tau, quadrature_order, literal_z)
-    fine = _general_values(pulse, wg, tau, 2 * quadrature_order, literal_z)
+    coarse = _general_values(pulse, wg, tau, QUADRATURE_ORDER, literal_z)
+    fine = _general_values(pulse, wg, tau, 2 * QUADRATURE_ORDER, literal_z)
     norm = np.linalg.norm(fine)
     change = np.linalg.norm(fine - coarse) / norm if norm > 0.0 else 0.0
     if change > QUADRATURE_TOL:
         raise AccuracyError(
             f"quadrature not converged: relative change {change:.3e} between "
-            f"orders {quadrature_order} and {2 * quadrature_order} exceeds "
+            f"orders {QUADRATURE_ORDER} and {2 * QUADRATURE_ORDER} exceeds "
             f"{QUADRATURE_TOL:.0e}",
             coarse=coarse, fine=fine)
-    return DiagonalJTA(grid, fine, model_tag="general_quadrature")
+    return DiagonalJTA(grid, fine)

@@ -15,13 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (AccuracyWarning, ConfigError, CostGuardError,
-                     DegenerateInputError, UndefinedEfficiencyError)
+from .errors import (AccuracyWarning, ConfigError, DegenerateInputError,
+                     UndefinedEfficiencyError)
 from .filtering import FilterPair, FilterSpec, JointAmplitudeMatrix, filtered_jta, overlap
+from .grids import TemporalGrid
 from .jta import DiagonalJTA
 
 LOW_EXCITATION_BOUND = 0.1
-FOURFOLD_MAX_POINTS = 128
 _WEIGHT_FLOOR = 1e-14  # singular values below this fraction of the top are noise
 
 
@@ -34,6 +34,7 @@ class PairMetrics:
     nu: float | None
     schmidt_weights: np.ndarray | None
     low_excitation_ok: bool
+    eta_conjugated: float  # the physical eta, equal to ``eta`` unless unconjugated
     eta_imag: float | None = None
 
 
@@ -49,6 +50,43 @@ def _overlap_matrix(filt: FilterSpec, tau: np.ndarray) -> np.ndarray:
     return overlap(filt, sep)
 
 
+def _quadratic_form(diag: DiagonalJTA, k: np.ndarray, conjugated: bool, step: int = 1):
+    """(1/4 pi^2) v* K v (or v K v) on every ``step``-th sample of the diagonal.
+
+    K depends on tau differences only, so K[::2, ::2] is the kernel of the
+    grid TemporalGrid(n // 2, 2 dt).
+    """
+    grid = TemporalGrid(diag.grid.n_points // step, step * diag.grid.dt)
+    v = grid.trapezoid_weights * diag.values[::step]
+    k = k[::step, ::step]
+    if conjugated:
+        return float(np.real(np.conj(v) @ k @ v)) / (4.0 * math.pi ** 2)
+    return complex(v @ k @ v) / (4.0 * math.pi ** 2)
+
+
+def _both_forms(diag: DiagonalJTA, filters: FilterPair, conjugated: bool,
+                verify_resolution: bool):
+    """The conjugated eta and, unless ``conjugated``, the bilinear form, both
+    from one kernel K = Os * Oi (two gaussian filters).
+
+    The resolution sentinel checks the conjugated eta; it skips an eta that
+    underflows, which callers report as zero.
+    """
+    tau = diag.grid.tau
+    k = _overlap_matrix(filters.signal, tau) * _overlap_matrix(filters.idler, tau)
+    eta = _quadratic_form(diag, k, True)
+    if (verify_resolution and eta >= sys.float_info.min
+            and diag.grid.n_points // 2 >= 8):
+        eta_c = _quadratic_form(diag, k, True, step=2)
+        scale = max(eta, abs(eta_c))
+        if abs(eta - eta_c) > 1e-6 * scale:
+            warnings.warn(
+                f"pair probability changed by {abs(eta - eta_c) / scale:.2e} "
+                "relative under 2x grid coarsening; grid may be under-resolved",
+                AccuracyWarning, stacklevel=3)
+    return eta, (None if conjugated else _quadratic_form(diag, k, False))
+
+
 def pair_probability(diag: DiagonalJTA, filters: FilterPair, conjugated: bool = True,
                      verify_resolution: bool = False):
     """Probability of generating (and keeping) one filtered pair per pulse.
@@ -58,9 +96,9 @@ def pair_probability(diag: DiagonalJTA, filters: FilterPair, conjugated: bool = 
     evaluates the plain bilinear form instead and returns a complex number;
     it is kept for comparison only, since it is not phase-independent.
 
-    With ``verify_resolution`` the value is recomputed on every second sample
-    and an AccuracyWarning is emitted if the two differ by more than 1e-6
-    relative.
+    With ``verify_resolution`` the conjugated value is recomputed on every
+    second sample and an AccuracyWarning is emitted if the two differ by more
+    than 1e-6 relative.
     """
     sig, idl = filters.signal, filters.idler
     if not sig.is_gaussian and not idl.is_gaussian:
@@ -69,30 +107,8 @@ def pair_probability(diag: DiagonalJTA, filters: FilterPair, conjugated: bool = 
         return single_sided_eta(diag, sig)
     if not sig.is_gaussian:
         return single_sided_eta(diag, idl)
-
-    def _quad(values, k, w):
-        v = w * values
-        if conjugated:
-            return float(np.real(np.conj(v) @ k @ v)) / (4.0 * math.pi ** 2)
-        return complex(v @ k @ v) / (4.0 * math.pi ** 2)
-
-    grid = diag.grid
-    k = _overlap_matrix(sig, grid.tau) * _overlap_matrix(idl, grid.tau)
-    eta = _quad(diag.values, k, grid.trapezoid_weights)
-    if verify_resolution and grid.n_points // 2 >= 8:
-        # K depends on tau differences only, so K[::2, ::2] is the kernel of
-        # the half grid TemporalGrid(n // 2, 2 dt)
-        w_c = np.full(grid.n_points // 2, 2.0 * grid.dt)
-        w_c[0] *= 0.5
-        w_c[-1] *= 0.5
-        eta_c = _quad(diag.values[::2], k[::2, ::2], w_c)
-        scale = max(abs(eta), abs(eta_c), 1e-300)
-        if abs(eta - eta_c) / scale > 1e-6:
-            warnings.warn(
-                f"pair probability changed by {abs(eta - eta_c) / scale:.2e} "
-                "relative under 2x grid coarsening; grid may be under-resolved",
-                AccuracyWarning, stacklevel=2)
-    return eta
+    eta, raw = _both_forms(diag, filters, conjugated, verify_resolution)
+    return eta if conjugated else raw
 
 
 def single_sided_eta(diag: DiagonalJTA, signal_filter: FilterSpec) -> float:
@@ -118,12 +134,16 @@ def single_sided_purity(diag: DiagonalJTA, signal_filter: FilterSpec) -> float:
     """
     if not signal_filter.is_gaussian:
         return 0.0
-    q = diag.grid.trapezoid_weights * np.abs(diag.values) ** 2
+    mags = np.abs(diag.values)
+    # the ratio below is scale-free, but its two sides go as |JTA|^4 and
+    # underflow for a weak pump; an exact power-of-two rescale avoids that
+    mags = np.ldexp(mags, -np.frexp(mags.max())[1])
+    q = diag.grid.trapezoid_weights * mags ** 2
     if not np.any(q > 0.0):
         raise DegenerateInputError("zero amplitude: heralded purity undefined")
     o_sq = np.abs(_overlap_matrix(signal_filter, diag.grid.tau)) ** 2
     numerator = 2.0 * float(q @ o_sq @ q)
-    eta = single_sided_eta(diag, signal_filter)
+    eta = single_sided_eta(DiagonalJTA(diag.grid, mags), signal_filter)
     return numerator / (8.0 * math.pi ** 2 * eta ** 2)
 
 
@@ -145,10 +165,10 @@ def purity_schmidt(matrix: JointAmplitudeMatrix) -> SchmidtDecomposition:
     return SchmidtDecomposition(purity=float(np.sum(g ** 4)), weights=g)
 
 
-def schmidt_mode_count(weights: np.ndarray, fraction: float = 0.99) -> int:
-    """Number of leading Schmidt modes needed to capture ``fraction`` of the power."""
+def schmidt_mode_count(weights: np.ndarray) -> int:
+    """Number of leading Schmidt modes needed to capture 99 % of the power."""
     cum = np.cumsum(weights ** 2)
-    return int(np.searchsorted(cum, fraction - 1e-12) + 1)
+    return int(np.searchsorted(cum, 0.99 - 1e-12) + 1)
 
 
 def fourfold_sum(v: np.ndarray, os: np.ndarray, oi: np.ndarray) -> complex:
@@ -163,21 +183,14 @@ def fourfold_sum(v: np.ndarray, os: np.ndarray, oi: np.ndarray) -> complex:
     return complex(v @ (g * g.T) @ v)
 
 
-def purity_quadrature(diag: DiagonalJTA, filters: FilterPair,
-                      allow_large: bool = False) -> float:
+def purity_quadrature(diag: DiagonalJTA, filters: FilterPair) -> float:
     """Heralded purity from the four-fold overlap quadrature.
 
     Independent cross-check of the singular-value route: the four-fold sum
-    shares no factorization with the SVD. It costs O(N^3), so grids above
-    128 points are refused unless ``allow_large`` is set.
+    shares no factorization with the SVD. It costs O(N^3), like the SVD.
     """
     if not (filters.signal.is_gaussian and filters.idler.is_gaussian):
         raise ConfigError("four-fold purity quadrature needs gaussian filters on both sides")
-    n = diag.grid.n_points
-    if n > FOURFOLD_MAX_POINTS and not allow_large:
-        raise CostGuardError(
-            f"four-fold quadrature on {n} points needs O(N^3), ~{n ** 3:.1e} "
-            "multiply-adds; pass allow_large=True to force it")
     tau = diag.grid.tau
     v = diag.grid.trapezoid_weights * diag.values
     os = _overlap_matrix(filters.signal, tau)
@@ -246,24 +259,26 @@ def compute_pair_metrics(diag: DiagonalJTA, filters: FilterPair,
     An eta that is zero or underflows (zero or vanishingly weak pump) is
     reported as eta 0 with the conditional quantities unset rather than
     raising or dividing by a subnormal, which keeps sweeps through zero
-    power usable. nu reuses the eta computed here: it is the same ratio
-    ``heralding_efficiency`` returns.
+    power usable. Both forms of eta come from one kernel, and nu reuses the
+    conjugated one: it is the same ratio ``heralding_efficiency`` returns.
     """
     sig, idl = filters.signal, filters.idler
-    # raises ConfigError when neither side is gaussian
-    eta_phys = pair_probability(diag, filters, conjugated=True,
-                                verify_resolution=verify_resolution)
+    both = sig.is_gaussian and idl.is_gaussian
+    if both:
+        eta_phys, raw = _both_forms(diag, filters, conjugated, verify_resolution)
+    else:
+        # raises ConfigError when neither side is gaussian
+        eta_phys = pair_probability(diag, filters)
     if eta_phys < sys.float_info.min:
         return PairMetrics(eta=0.0, purity=None, nu=None, schmidt_weights=None,
-                           low_excitation_ok=True)
+                           low_excitation_ok=True, eta_conjugated=0.0)
 
     if matrix is None:
         matrix = filtered_jta(diag, filters)
     schmidt = purity_schmidt(matrix)
     eta_report, eta_imag = eta_phys, None
-    if sig.is_gaussian and idl.is_gaussian:
+    if both:
         if not conjugated:
-            raw = pair_probability(diag, filters, conjugated=False)
             eta_report, eta_imag = raw.real, raw.imag
         purity = schmidt.purity
         nu = eta_phys / single_sided_eta(diag, sig)
@@ -274,4 +289,4 @@ def compute_pair_metrics(diag: DiagonalJTA, filters: FilterPair,
     ok, _ = validate_low_excitation(eta_phys)
     return PairMetrics(eta=float(eta_report), purity=purity, nu=nu,
                        schmidt_weights=schmidt.weights, low_excitation_ok=ok,
-                       eta_imag=eta_imag)
+                       eta_conjugated=eta_phys, eta_imag=eta_imag)

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from sfwmsim import (FilterPair, TemporalGrid, filtered_jta, gaussian_eta,
-                     gaussian_nu, gaussian_purity, jta_simple, jta_to_jsa,
-                     load_config, marginal_spectrum)
+import sfwmsim.cli
+import sfwmsim.metrics
+from sfwmsim import (FilterPair, JointAmplitudeMatrix, TemporalGrid,
+                     filtered_jta, gaussian_eta, gaussian_nu, gaussian_purity,
+                     jta_simple, jta_to_jsa, load_config, marginal_spectrum)
 from sfwmsim.cli import (build_diagonal_jta, export_matrix, main,
                          read_matrix_coords)
 from conftest import make_filters, make_pump, make_waveguide
@@ -128,9 +130,11 @@ def _example_matrix(kind):
     pump = make_pump(phi_max=1.0)
     diag = jta_simple(pump, make_waveguide(), TemporalGrid(n_points=16, dt=0.75))
     if kind == "single_sided":
-        # signal filtered onto 8 output times, idler left on the 16-point diagonal
-        return filtered_jta(diag, make_filters(2, 0, pump),
-                            out_grid=TemporalGrid(n_points=8, dt=1.0))
+        # every second signal row of a signal-only filtered amplitude: 8 signal
+        # times on TemporalGrid(8, 1.5) against the 16-point idler diagonal
+        full = filtered_jta(diag, make_filters(2, 0, pump))
+        return JointAmplitudeMatrix(TemporalGrid(n_points=8, dt=1.5), diag.grid,
+                                    full.values[::2])
     matrix = filtered_jta(diag, make_filters(2, 3, pump))
     return jta_to_jsa(matrix) if kind == "frequency" else matrix
 
@@ -269,6 +273,26 @@ def test_non_conjugated_eta_flag(tmp_path):
     assert doc["eta"] == pytest.approx(-gaussian_eta(0.1, 2, 2), rel=1e-6)
     assert doc["eta_imag"] == pytest.approx(0.0, abs=1e-15)
     assert doc["flags"]["non_conjugated_eta"] is True
+
+
+@pytest.mark.parametrize("flag", [[], ["--non-conjugated-eta"]])
+def test_one_eta_kernel_per_configuration(tmp_path, monkeypatch, flag):
+    """The README config at P0 = 30 W breaks the low-excitation bound, so the
+    note needs the conjugated eta too; all forms come from one kernel."""
+    calls = []
+    real = sfwmsim.metrics.overlap
+    monkeypatch.setattr(sfwmsim.metrics, "overlap",
+                        lambda *a: calls.append(a) or real(*a))
+    raw = {"pump": {"P0": 30.0, "sigma_t": 1.0},
+           "waveguide": {"length": 0.005, "gamma": 121.6},
+           "filters": BASE["filters"], "grid": {"n_points": 64},
+           "model": "simple_sxpm"}
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", _write_config(tmp_path, raw),
+                 "--out", str(out), *flag]) == 0
+    assert len(calls) == 2
+    doc = json.loads((out / "metrics.json").read_text())
+    assert any("exceeds the low-excitation bound" in w for w in doc["warnings"])
 
 
 def test_literal_z_flag_changes_lossy_results(tmp_path):
@@ -437,6 +461,27 @@ def test_sweep_lambda_requires_positive_values(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", cfg, "--sweep", str(sweep),
                  "--out", str(out)]) == 2
+
+
+def test_sweep_rejects_a_bad_point_before_evaluating_any(tmp_path, capsys,
+                                                        monkeypatch):
+    calls = []
+    real = sfwmsim.cli._evaluate
+    monkeypatch.setattr(sfwmsim.cli, "_evaluate",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    raw = json.loads(json.dumps(BASE))
+    raw["waveguide"]["alpha"] = 20.0
+    raw["model"] = "general_quadrature"
+    cfg = _write_config(tmp_path, raw)
+    sweep = _write_sweep(tmp_path, {"parameter": "phi_max", "values": [0.1],
+                                    "models": ["general_quadrature", "linear"]})
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", cfg, "--sweep", sweep,
+                 "--out", str(out)]) == 2
+    assert calls == []
+    assert not out.exists()
+    assert ("sweep phi_max=0.1, model 'linear': model: lossy medium requires "
+            "general_quadrature" in capsys.readouterr().err)
 
 
 def test_sweep_accuracy_failure_propagates(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sfwmsim import (ConfigError, FilterPair, FilterSpec, JointAmplitudeMatrix,
-                     ModelCompatibilityError, TemporalGrid, filtered_jta,
+                     ModelCompatibilityError, SpectralGrid, TemporalGrid, filtered_jta,
                      filtered_jta_gaussian_series, filtered_jta_linear_gaussian,
                      gaussian_time_kernel, jta_linear, jta_simple, overlap)
 from sfwmsim.filtering import DELTA_KERNEL_WEIGHT
@@ -62,9 +62,10 @@ def test_joint_matrix_validation():
     bad[2, 3] = np.inf
     with pytest.raises(ConfigError):
         JointAmplitudeMatrix(grid, grid, bad)
-    with pytest.raises(ConfigError):
-        JointAmplitudeMatrix(grid, grid, np.ones((16, 16), dtype=complex),
-                             domain_tag="phase-space")
+    sgrid = SpectralGrid.conjugate_to(grid)
+    for grid_s, grid_i in ((grid, sgrid), (sgrid, grid)):
+        with pytest.raises(ConfigError, match="of one type"):
+            JointAmplitudeMatrix(grid_s, grid_i, np.ones((16, 16), dtype=complex))
 
 
 @pytest.mark.parametrize("lam,mu", [(2.0, 2.0), (1.0, 4.0), (0.5, 2.0)])
@@ -186,14 +187,3 @@ def test_series_guards():
     one_sided = FilterPair(FilterSpec(sigma_f=0.25), FilterSpec.unfiltered())
     with pytest.raises(ConfigError):
         filtered_jta_gaussian_series(pump, make_waveguide(), one_sided, grid)
-
-
-def test_output_grid_override():
-    pump = make_pump(phi_max=0.1)
-    filters = make_filters(2.0, 2.0, pump)
-    src = make_grid(pump, [filters.signal, filters.idler], n_points=128)
-    out = TemporalGrid(n_points=64, dt=src.dt)
-    diag = jta_linear(pump, make_waveguide(), src)
-    matrix = filtered_jta(diag, filters, out_grid=out)
-    assert matrix.values.shape == (64, 64)
-    assert matrix.grid_s is out and matrix.grid_i is out

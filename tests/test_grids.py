@@ -70,10 +70,11 @@ def test_builder_floors():
 
 
 def test_time_index_round_trip():
-    grid = TemporalGrid(n_points=64, dt=0.25, center=1.5)
+    grid = TemporalGrid(n_points=64, dt=0.25)
     for k in (0, 17, 32, 63):
         assert grid.index_of(grid.time_at(k)) == k
-    assert grid.time_at(32) == 1.5
+        assert grid.time_at(k) == grid.tau[k]
+    assert grid.time_at(32) == 0.0
 
 
 def test_half_width():

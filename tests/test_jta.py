@@ -130,13 +130,6 @@ def test_general_unconverged_quadrature_raises():
     assert excinfo.value.coarse.shape == (64,)
 
 
-def test_general_order_floor():
-    pump = make_pump()
-    grid = make_grid(pump, n_points=64)
-    with pytest.raises(ConfigError):
-        jta_general(pump, make_waveguide(), grid, quadrature_order=4)
-
-
 def test_diagonal_jta_validation():
     grid = TemporalGrid(n_points=16, dt=0.5)
     with pytest.raises(ConfigError):

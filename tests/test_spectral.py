@@ -136,17 +136,17 @@ def test_domain_tag_enforcement():
         jsa_to_jta(mt)
 
 
-def test_non_conjugate_grids_rejected():
-    pump, wg, filters, grid = _closed_form_setup(n_points=64)
-    mt = filtered_jta_linear_gaussian(pump, wg, filters, grid)
-    wrong = SpectralGrid(n_points=64, d_omega=1.0)
-    with pytest.raises(ConfigError):
-        jta_to_jsa(mt, sgrid_s=wrong)
+def test_domain_is_derived_from_the_grids():
+    tgrid = TemporalGrid(n_points=16, dt=0.5)
+    sgrid = SpectralGrid.conjugate_to(tgrid)
+    values = np.ones((16, 16), dtype=complex)
+    assert JointAmplitudeMatrix(tgrid, tgrid, values).domain_tag == "time"
+    jsa = JointAmplitudeMatrix(sgrid, sgrid, values)
+    assert jsa.domain_tag == "frequency"
+    # integrated with the spectral weights
+    assert marginal_spectrum(jsa) == pytest.approx(
+        np.full(16, sgrid.trapezoid_weights.sum()), rel=1e-15)
+    # a time-grid amplitude can no longer be tagged as a spectral one
+    with pytest.raises(TypeError):
+        JointAmplitudeMatrix(tgrid, tgrid, values, domain_tag="frequency")
 
-
-def test_off_center_grids_rejected():
-    grid = TemporalGrid(n_points=64, dt=0.25, center=1.0)
-    matrix = JointAmplitudeMatrix(grid, grid,
-                                  np.ones((64, 64), dtype=complex))
-    with pytest.raises(ConfigError):
-        jta_to_jsa(matrix)
