@@ -104,15 +104,14 @@ def read_matrix_coords(path):
 
 
 def _evaluate(cfg: SimulationConfig, conjugated: bool, literal_z: bool):
-    """Run the model + metrics pipeline; returns (diag, matrix, metrics, warnings)."""
+    """Run the model + metrics pipeline; returns (diag, filters, metrics, warnings)."""
     diag = build_diagonal_jta(cfg, literal_z=literal_z)
     filters = FilterPair(cfg.signal_filter, cfg.idler_filter)
     notes: list[str] = []
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always", AccuracyWarning)
-        matrix = filtered_jta(diag, filters)
         pm = compute_pair_metrics(diag, filters, conjugated=conjugated,
-                                  matrix=matrix, verify_resolution=True)
+                                  verify_resolution=True)
     notes.extend(str(w.message) for w in caught
                  if issubclass(w.category, AccuracyWarning))
     zero_pump = pm.schmidt_weights is None
@@ -122,7 +121,7 @@ def _evaluate(cfg: SimulationConfig, conjugated: bool, literal_z: bool):
         notes.append("nu: undefined without a signal filter")
     if not pm.low_excitation_ok:
         notes.append(validate_low_excitation(pm.eta_conjugated)[1])
-    return diag, matrix, pm, notes
+    return diag, filters, pm, notes
 
 
 def _regime_report(cfg: SimulationConfig):
@@ -174,8 +173,8 @@ def _metrics_document(cfg: SimulationConfig, pm, notes: list[str],
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config, grid_points=args.grid_points,
                       span_sigmas=args.span_sigmas)
-    _, matrix, pm, notes = _evaluate(cfg, conjugated=not args.non_conjugated_eta,
-                                     literal_z=args.as_printed_eq9)
+    diag, filters, pm, notes = _evaluate(cfg, conjugated=not args.non_conjugated_eta,
+                                         literal_z=args.as_printed_eq9)
     regime_result, regime_note = _regime_report(cfg)
     if regime_note:
         notes.append(regime_note)
@@ -183,6 +182,7 @@ def _cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
+    matrix = filtered_jta(diag, filters)
     export_matrix(matrix, out / "jta.csv")
     jsa = jta_to_jsa(matrix)
     export_matrix(jsa, out / "jsa.csv")

@@ -8,6 +8,7 @@ sqrt(2) reappears inside the overlap arguments.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import warnings
@@ -17,12 +18,16 @@ import numpy as np
 
 from .errors import (AccuracyWarning, ConfigError, DegenerateInputError,
                      UndefinedEfficiencyError)
-from .filtering import FilterPair, FilterSpec, JointAmplitudeMatrix, filtered_jta, overlap
+from .filtering import (DELTA_KERNEL_WEIGHT, FilterPair, FilterSpec, JointAmplitudeMatrix,
+                        gaussian_time_kernel, overlap)
 from .grids import TemporalGrid
 from .jta import DiagonalJTA
 
 LOW_EXCITATION_BOUND = 0.1
 _WEIGHT_FLOOR = 1e-14  # singular values below this fraction of the top are noise
+# eigenvalues of a weighted filter kernel below this fraction of its largest
+# are round-off: a lower cut keeps only round-off eigenvectors, no accuracy
+_KERNEL_EIG_CUT = 1e-16
 
 
 @dataclass(frozen=True)
@@ -147,22 +152,69 @@ def single_sided_purity(diag: DiagonalJTA, signal_filter: FilterSpec) -> float:
     return numerator / (8.0 * math.pi ** 2 * eta ** 2)
 
 
-def purity_schmidt(matrix: JointAmplitudeMatrix) -> SchmidtDecomposition:
+def purity_schmidt(matrix: JointAmplitudeMatrix | np.ndarray) -> SchmidtDecomposition:
     """Schmidt spectrum of a sampled two-coordinate amplitude.
 
-    The matrix is measure-weighted (sqrt of the trapezoid weights on each
-    axis) so the singular values approximate the continuum decomposition;
-    weights are normalized to unit power, purity is their fourth-power sum.
+    A JointAmplitudeMatrix is measure-weighted (sqrt of the trapezoid weights
+    on each axis) so the singular values approximate the continuum
+    decomposition; a plain array is taken as already weighted, such as the
+    small core of the factored amplitude. Weights are normalized to unit
+    power, purity is their fourth-power sum.
     """
-    ws = np.sqrt(matrix.grid_s.trapezoid_weights)
-    wi = np.sqrt(matrix.grid_i.trapezoid_weights)
-    weighted = ws[:, None] * matrix.values * wi[None, :]
+    if isinstance(matrix, JointAmplitudeMatrix):
+        ws = np.sqrt(matrix.grid_s.trapezoid_weights)
+        wi = np.sqrt(matrix.grid_i.trapezoid_weights)
+        weighted = ws[:, None] * matrix.values * wi[None, :]
+    else:
+        weighted = matrix
     s = np.linalg.svd(weighted, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         raise DegenerateInputError("zero amplitude: Schmidt spectrum undefined")
     s = s[s > _WEIGHT_FLOOR * s[0]]
     g = s / math.sqrt(float(np.sum(s ** 2)))
     return SchmidtDecomposition(purity=float(np.sum(g ** 4)), weights=g)
+
+
+@functools.lru_cache(maxsize=4)
+def _kernel_factor(grid: TemporalGrid, filt: FilterSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (lam, Q) of the measure-weighted time kernel
+    sqrt(W) A sqrt(W) of a gaussian filter, so that it equals Q diag(lam) Q^T
+    up to round-off.
+
+    The kernel is symmetric positive semidefinite; eigenvalues at or below
+    ``_KERNEL_EIG_CUT`` of the largest are dropped. Cached per (grid, filter),
+    so equal filters on both sides share one factor; the arrays are read-only.
+    """
+    tau = grid.tau
+    sw = np.sqrt(grid.trapezoid_weights)
+    a = gaussian_time_kernel(filt.sigma_f, tau[:, None] - tau[None, :])
+    lam, q = np.linalg.eigh(sw[:, None] * a * sw[None, :])
+    keep = lam > _KERNEL_EIG_CUT * lam[-1]
+    lam, q = lam[keep], q[:, keep]
+    lam.flags.writeable = False
+    q.flags.writeable = False
+    return lam, q
+
+
+def _schmidt_core(diag: DiagonalJTA, filters: FilterPair) -> np.ndarray:
+    """Core whose singular values are those of the weighted filtered amplitude.
+
+    That amplitude is M = A^ diag(v / 2 pi) B^, with A^ and B^ the weighted
+    kernels of ``_kernel_factor`` and v the diagonal samples. With
+    A^ = Qa La Qa^T and B^ = Qb Lb Qb^T the core is La (Qa^T diag(v / 2 pi) Qb) Lb.
+    An unfiltered side is a delta kernel: M collapses to A^ diag(v) sqrt(2 pi)/2 pi
+    (or its transpose), whose core is La Qa^T diag(v sqrt(2 pi) / 2 pi).
+    """
+    sig, idl = filters.signal, filters.idler
+    grid = diag.grid
+    if sig.is_gaussian and idl.is_gaussian:
+        lam_a, qa = _kernel_factor(grid, sig)
+        lam_b, qb = _kernel_factor(grid, idl)
+        inner = (qa.T * (diag.values / (2.0 * math.pi))[None, :]) @ qb
+        return lam_a[:, None] * inner * lam_b[None, :]
+    lam, q = _kernel_factor(grid, sig if sig.is_gaussian else idl)
+    scaled = diag.values * (DELTA_KERNEL_WEIGHT / (2.0 * math.pi))
+    return lam[:, None] * (q.T * scaled[None, :])
 
 
 def schmidt_mode_count(weights: np.ndarray) -> int:
@@ -252,7 +304,6 @@ def validate_low_excitation(eta: float) -> tuple[bool, str]:
 
 def compute_pair_metrics(diag: DiagonalJTA, filters: FilterPair,
                          conjugated: bool = True,
-                         matrix: JointAmplitudeMatrix | None = None,
                          verify_resolution: bool = False) -> PairMetrics:
     """Assemble the standard metric set for one configuration.
 
@@ -261,6 +312,8 @@ def compute_pair_metrics(diag: DiagonalJTA, filters: FilterPair,
     raising or dividing by a subnormal, which keeps sweeps through zero
     power usable. Both forms of eta come from one kernel, and nu reuses the
     conjugated one: it is the same ratio ``heralding_efficiency`` returns.
+    The Schmidt spectrum comes from the cached kernel factors, never from
+    the dense filtered amplitude.
     """
     sig, idl = filters.signal, filters.idler
     both = sig.is_gaussian and idl.is_gaussian
@@ -273,9 +326,7 @@ def compute_pair_metrics(diag: DiagonalJTA, filters: FilterPair,
         return PairMetrics(eta=0.0, purity=None, nu=None, schmidt_weights=None,
                            low_excitation_ok=True, eta_conjugated=0.0)
 
-    if matrix is None:
-        matrix = filtered_jta(diag, filters)
-    schmidt = purity_schmidt(matrix)
+    schmidt = purity_schmidt(_schmidt_core(diag, filters))
     eta_report, eta_imag = eta_phys, None
     if both:
         if not conjugated:

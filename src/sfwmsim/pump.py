@@ -166,11 +166,13 @@ def check_free_carrier_regime(photon_energy: float, sigma_FCA: float, T0: float,
     """Free-carrier validity check: ratio = h*nu / (sigma_FCA * T0 * I0).
 
     Passes when the ratio is at least ``threshold`` (default 10, standing in
-    for "much greater than"). I0 = 0 gives an infinite ratio and passes.
+    for "much greater than"). I0 = 0, or a denominator that underflows to
+    zero, gives an infinite ratio and passes.
     """
-    if I0 == 0.0:
+    denominator = sigma_FCA * T0 * I0
+    if I0 == 0.0 or denominator == 0.0:
         return RegimeCheckResult(ratio=math.inf, passed=True)
-    ratio = photon_energy / (sigma_FCA * T0 * I0)
+    ratio = photon_energy / denominator
     return RegimeCheckResult(ratio=float(ratio), passed=bool(ratio >= threshold))
 
 

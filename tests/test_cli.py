@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import sfwmsim.cli
+import sfwmsim.filtering
 import sfwmsim.metrics
 from sfwmsim import (FilterPair, JointAmplitudeMatrix, TemporalGrid,
                      filtered_jta, gaussian_eta, gaussian_nu, gaussian_purity,
@@ -329,6 +330,21 @@ def test_regime_check_report(tmp_path, capsys):
     assert any("free-carrier" in w for w in doc2["warnings"])
 
 
+def test_regime_check_with_an_underflowing_denominator(tmp_path, capsys):
+    # sigma_FCA * T0 * I0 underflows to 0.0 although every factor is valid
+    raw = json.loads(json.dumps(BASE))
+    raw["grid"]["n_points"] = 64
+    raw["regime_check"] = {"photon_energy": 1.28e-19, "sigma_FCA": 1e-200,
+                           "T0": 1e-200, "I0": 1e-10}
+    cfg = _write_config(tmp_path, raw)
+    assert main(["validate", "--config", cfg]) == 0
+    assert "ratio inf (passed)" in capsys.readouterr().out
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    doc = json.loads((out / "metrics.json").read_text())
+    assert doc["regime_check"] == {"ratio": "inf", "passed": True}
+
+
 def _write_sweep(tmp_path, raw, name="sweep.json"):
     path = tmp_path / name
     path.write_text(json.dumps(raw, indent=2))
@@ -506,3 +522,38 @@ def test_config_error_exit_code_from_main(tmp_path, capsys):
 def test_subcommand_required():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_only_simulate_builds_the_dense_filtered_matrix(tmp_path, monkeypatch):
+    calls = []
+    real = sfwmsim.filtering.filtered_jta
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sfwmsim.filtering, "filtered_jta", spy)
+    monkeypatch.setattr(sfwmsim.cli, "filtered_jta", spy)
+    cfg = _write_config(tmp_path)
+    sweep = _write_sweep(tmp_path, {"parameter": "phi_max", "values": [0.1, 0.2],
+                                    "models": ["linear", "simple_sxpm"]})
+    assert main(["sweep", "--config", cfg, "--sweep", sweep,
+                 "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert calls == []
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+
+
+def test_a_sweep_with_equal_filters_factors_one_kernel(tmp_path):
+    # lambda = mu and one grid for every row: one eigendecomposition serves all
+    cfg = _write_config(tmp_path)
+    sweep = _write_sweep(tmp_path, {"parameter": "phi_max",
+                                    "values": [0.1 * k for k in range(1, 10)],
+                                    "models": ["linear", "simple_sxpm", "sinc",
+                                               "general_quadrature"]})
+    sfwmsim.metrics._kernel_factor.cache_clear()
+    assert main(["sweep", "--config", cfg, "--sweep", sweep,
+                 "--out", str(tmp_path / "sweep.csv")]) == 0
+    info = sfwmsim.metrics._kernel_factor.cache_info()
+    assert info.misses == 1
+    assert info.hits == 2 * 36 - 1

@@ -4,12 +4,14 @@ import warnings
 import numpy as np
 import pytest
 
+import sfwmsim.metrics
 from sfwmsim import (AccuracyWarning, ConfigError, DegenerateInputError,
                      DiagonalJTA, FilterPair, FilterSpec, PumpPulse,
                      TemporalGrid, UndefinedEfficiencyError, compute_pair_metrics,
-                     filtered_jta_linear_gaussian, gaussian_eta, gaussian_nu,
-                     gaussian_purity, heralding_efficiency, jta_linear,
-                     jta_simple, pair_probability, purity_quadrature,
+                     filtered_jta, filtered_jta_linear_gaussian, gaussian_eta,
+                     gaussian_nu, gaussian_purity, heralding_efficiency,
+                     jta_general, jta_linear, jta_simple, jta_sinc,
+                     pair_probability, purity_quadrature,
                      purity_schmidt, schmidt_mode_count, single_sided_eta,
                      single_sided_purity, validate_low_excitation)
 from conftest import make_filters, make_grid, make_pump, make_waveguide
@@ -175,7 +177,6 @@ def test_schmidt_purity_oracle():
 
 def test_schmidt_zero_matrix_raises():
     pump, wg, filters, grid = _linear_setup(0.0, 2.0, 2.0, n_points=64)
-    from sfwmsim import filtered_jta
     matrix = filtered_jta(jta_linear(pump, wg, grid), filters)
     with pytest.raises(DegenerateInputError):
         purity_schmidt(matrix)
@@ -330,3 +331,33 @@ def test_compute_pair_metrics_single_sided():
     pm2 = compute_pair_metrics(diag, flipped)
     assert pm2.nu is None
     assert pm2.purity == pytest.approx(pm.purity, rel=1e-12)
+
+
+@pytest.mark.parametrize("n_points", [64, 512])
+@pytest.mark.parametrize("lam, mu", [(2.0, 2.0), (1.3, 2.7), (2.0, 0.0), (0.0, 2.0)],
+                         ids=["equal", "unequal", "signal_only", "idler_only"])
+@pytest.mark.parametrize("model", [jta_linear, jta_simple, jta_sinc, jta_general],
+                         ids=["linear", "simple_sxpm", "sinc", "general_quadrature"])
+def test_factored_schmidt_spectrum_matches_the_dense_oracle(model, lam, mu, n_points):
+    # the dense filtered amplitude and its full SVD stay the reference
+    pump, wg, filters, grid = _linear_setup(1.0, lam, mu, n_points=n_points)
+    diag = model(pump, wg, grid)
+    dense = purity_schmidt(filtered_jta(diag, filters))
+    pm = compute_pair_metrics(diag, filters)
+    weights = pm.schmidt_weights
+    assert len(weights) == len(dense.weights)
+    assert np.max(np.abs(weights - dense.weights)) <= 1e-12
+    assert abs(float(np.sum(weights ** 4)) - dense.purity) <= 1e-12
+    if lam and mu:
+        assert abs(pm.purity - dense.purity) <= 1e-12
+    assert schmidt_mode_count(weights) == schmidt_mode_count(dense.weights)
+
+
+def test_cached_kernel_factors_are_read_only():
+    pump, wg, filters, grid = _linear_setup(0.1, 2.0, 2.0, n_points=64)
+    compute_pair_metrics(jta_linear(pump, wg, grid), filters)
+    lam, q = sfwmsim.metrics._kernel_factor(grid, filters.signal)
+    with pytest.raises(ValueError):
+        lam[0] = 0.0
+    with pytest.raises(ValueError):
+        q[0, 0] = 0.0

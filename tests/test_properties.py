@@ -1,15 +1,19 @@
-"""Property tests of the paper's headline invariance through the metric path
-the CLI uses (``compute_pair_metrics``): with one side unfiltered, eta and
-the heralded purity do not depend on any phase carried by the diagonal
-amplitude, and filtering only the signal or only the idler at the same
-bandwidth ratio gives the same numbers."""
+"""Property tests through the metric path the CLI uses
+(``compute_pair_metrics``): the paper's headline invariance (with one side
+unfiltered, eta and the heralded purity do not depend on any phase carried
+by the diagonal amplitude, and filtering only the signal or only the idler at
+the same bandwidth ratio gives the same numbers), agreement of the factored
+Schmidt spectrum with the dense filtered amplitude, and signal/idler symmetry
+with both sides filtered."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sfwmsim import DiagonalJTA, FilterPair, FilterSpec, compute_pair_metrics, jta_simple
-from conftest import filter_for_ratio, make_grid, make_pump, make_waveguide
+from sfwmsim import (DiagonalJTA, FilterPair, FilterSpec, compute_pair_metrics,
+                     filtered_jta, jta_linear, jta_simple, jta_sinc, purity_schmidt,
+                     schmidt_mode_count)
+from conftest import filter_for_ratio, make_filters, make_grid, make_pump, make_waveguide
 
 
 def _same(a, b, rel=1e-12):
@@ -46,3 +50,39 @@ def test_single_sided_metrics_ignore_any_diagonal_phase(lam, phi, coeffs,
     _same(mirror.purity, plain.purity, rel=0.0)
     if plain.schmidt_weights is not None:
         _same(mirror.schmidt_weights[0], plain.schmidt_weights[0])
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(lam=st.floats(0.5, 3.0), mu=st.floats(0.5, 3.0), phi=st.floats(0.05, 2.0),
+       sides=st.sampled_from(["both", "signal_only", "idler_only"]),
+       model=st.sampled_from([jta_linear, jta_simple, jta_sinc]),
+       n_points=st.sampled_from([64, 128, 256]))
+def test_factored_schmidt_spectrum_equals_the_dense_oracle(lam, mu, phi, sides, model,
+                                                          n_points):
+    pump = make_pump(phi_max=phi)
+    filters = make_filters(0.0 if sides == "idler_only" else lam,
+                           0.0 if sides == "signal_only" else mu, pump)
+    grid = make_grid(pump, [filters.signal, filters.idler], n_points=n_points)
+    diag = model(pump, make_waveguide(), grid)
+    dense = purity_schmidt(filtered_jta(diag, filters))
+    weights = compute_pair_metrics(diag, filters).schmidt_weights
+    assert len(weights) == len(dense.weights)
+    assert np.max(np.abs(weights - dense.weights)) <= 1e-12
+    assert abs(float(np.sum(weights ** 4)) - dense.purity) <= 1e-12
+    assert schmidt_mode_count(weights) == schmidt_mode_count(dense.weights)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(lam=st.floats(0.5, 3.0), mu=st.floats(0.5, 3.0), phi=st.floats(0.05, 2.0),
+       n_points=st.sampled_from([64, 128, 256]))
+def test_swapping_lambda_and_mu_mirrors_the_pair(lam, mu, phi, n_points):
+    pump = make_pump(phi_max=phi)
+    filters = make_filters(lam, mu, pump)
+    grid = make_grid(pump, [filters.signal, filters.idler], n_points=n_points)
+    diag = jta_simple(pump, make_waveguide(), grid)
+    plain = compute_pair_metrics(diag, filters)
+    swapped = compute_pair_metrics(diag, FilterPair(filters.idler, filters.signal))
+    _same(swapped.eta, plain.eta)
+    assert abs(swapped.purity - plain.purity) <= 1e-12
+    assert len(swapped.schmidt_weights) == len(plain.schmidt_weights)
+    assert np.max(np.abs(swapped.schmidt_weights - plain.schmidt_weights)) <= 1e-12
