@@ -49,47 +49,68 @@ class SchmidtDecomposition:
     weights: np.ndarray
 
 
-def _overlap_matrix(filt: FilterSpec, tau: np.ndarray) -> np.ndarray:
-    """O(sqrt(2) (tau_j - tau_k)) for a gaussian filter."""
-    sep = math.sqrt(2.0) * (tau[:, None] - tau[None, :])
-    return overlap(filt, sep)
+def _overlap_lags(grid: TemporalGrid) -> np.ndarray:
+    """Overlap arguments sqrt(2) d dt at the lags d = 0 .. N-1 of the grid.
+
+    (2d) dt equals d (2 dt) exactly in binary floating point, so the even
+    entries are the lags of the grid TemporalGrid(N // 2, 2 dt).
+    """
+    return math.sqrt(2.0) * (np.arange(grid.n_points) * grid.dt)
 
 
-def _quadratic_form(diag: DiagonalJTA, k: np.ndarray, conjugated: bool, step: int = 1):
-    """(1/4 pi^2) v* K v (or v K v) on every ``step``-th sample of the diagonal.
+def _lag_sum(kappa: np.ndarray, v: np.ndarray, conjugated: bool = True):
+    """v* K v (or v K v) for the symmetric Toeplitz K[j, k] = kappa[|j - k|].
 
-    K depends on tau differences only, so K[::2, ::2] is the kernel of the
-    grid TemporalGrid(n // 2, 2 dt).
+    The sum runs over lags: kappa[0] c[0] + 2 sum_{d>=1} kappa[d] Re c[d] with
+    the autocorrelation c[d] = sum_j conj(v[j]) v[j + d] (the bilinear form
+    uses sum_j v[j] v[j + d], which is even in d). One zero-padded FFT of
+    length 2N gives every lag without wrap-around.
+    """
+    n = v.size
+    f = np.fft.fft(v, 2 * n)
+    if conjugated:
+        c = np.fft.ifft(f.real ** 2 + f.imag ** 2)[:n].real
+    else:
+        c = np.fft.ifft(f * np.roll(f[::-1], 1))[:n]  # F(omega) F(-omega)
+    return kappa[0] * c[0] + 2.0 * (kappa[1:] @ c[1:])
+
+
+def _quadratic_form(diag: DiagonalJTA, kappa: np.ndarray, conjugated: bool,
+                    step: int = 1):
+    """(1/4 pi^2) v* K v (or v K v) on every ``step``-th sample of the diagonal,
+    with K[j, k] = kappa[|j - k|] the eta kernel on the full grid; kappa[::2]
+    is the kernel of the grid TemporalGrid(n // 2, 2 dt) (see ``_overlap_lags``).
     """
     grid = TemporalGrid(diag.grid.n_points // step, step * diag.grid.dt)
     v = grid.trapezoid_weights * diag.values[::step]
-    k = k[::step, ::step]
+    total = _lag_sum(kappa[::step], v, conjugated)
     if conjugated:
-        return float(np.real(np.conj(v) @ k @ v)) / (4.0 * math.pi ** 2)
-    return complex(v @ k @ v) / (4.0 * math.pi ** 2)
+        return float(total) / (4.0 * math.pi ** 2)
+    return complex(total) / (4.0 * math.pi ** 2)
 
 
 def _both_forms(diag: DiagonalJTA, filters: FilterPair, conjugated: bool,
                 verify_resolution: bool):
     """The conjugated eta and, unless ``conjugated``, the bilinear form, both
-    from one kernel K = Os * Oi (two gaussian filters).
+    from one lag vector kappa(d) = Os(sqrt(2) d dt) Oi(sqrt(2) d dt) (two
+    gaussian filters).
 
     The resolution sentinel checks the conjugated eta; it skips an eta that
     underflows, which callers report as zero.
     """
-    tau = diag.grid.tau
-    k = _overlap_matrix(filters.signal, tau) * _overlap_matrix(filters.idler, tau)
-    eta = _quadratic_form(diag, k, True)
+    lags = _overlap_lags(diag.grid)
+    kappa = overlap(filters.signal, lags) * overlap(filters.idler, lags)
+    eta = _quadratic_form(diag, kappa, True)
     if (verify_resolution and eta >= sys.float_info.min
             and diag.grid.n_points // 2 >= 8):
-        eta_c = _quadratic_form(diag, k, True, step=2)
+        eta_c = _quadratic_form(diag, kappa, True, step=2)
         scale = max(eta, abs(eta_c))
         if abs(eta - eta_c) > 1e-6 * scale:
             warnings.warn(
                 f"pair probability changed by {abs(eta - eta_c) / scale:.2e} "
                 "relative under 2x grid coarsening; grid may be under-resolved",
                 AccuracyWarning, stacklevel=3)
-    return eta, (None if conjugated else _quadratic_form(diag, k, False))
+    return eta, (None if conjugated else _quadratic_form(diag, kappa, False))
 
 
 def pair_probability(diag: DiagonalJTA, filters: FilterPair, conjugated: bool = True,
@@ -97,7 +118,8 @@ def pair_probability(diag: DiagonalJTA, filters: FilterPair, conjugated: bool = 
     """Probability of generating (and keeping) one filtered pair per pulse.
 
     Hermitian quadratic form (1/4 pi^2) v* K v with v the weighted amplitude
-    samples and K the product of the two overlap matrices. ``conjugated=False``
+    samples and K the product of the two overlap matrices, evaluated as a
+    sum over the lags of that Toeplitz kernel. ``conjugated=False``
     evaluates the plain bilinear form instead and returns a complex number;
     it is kept for comparison only, since it is not phase-independent.
 
@@ -146,8 +168,8 @@ def single_sided_purity(diag: DiagonalJTA, signal_filter: FilterSpec) -> float:
     q = diag.grid.trapezoid_weights * mags ** 2
     if not np.any(q > 0.0):
         raise DegenerateInputError("zero amplitude: heralded purity undefined")
-    o_sq = np.abs(_overlap_matrix(signal_filter, diag.grid.tau)) ** 2
-    numerator = 2.0 * float(q @ o_sq @ q)
+    o_sq = np.abs(overlap(signal_filter, _overlap_lags(diag.grid))) ** 2
+    numerator = 2.0 * float(_lag_sum(o_sq, q))
     eta = single_sided_eta(DiagonalJTA(diag.grid, mags), signal_filter)
     return numerator / (8.0 * math.pi ** 2 * eta ** 2)
 
@@ -181,16 +203,33 @@ def _kernel_factor(grid: TemporalGrid, filt: FilterSpec) -> tuple[np.ndarray, np
     sqrt(W) A sqrt(W) of a gaussian filter, so that it equals Q diag(lam) Q^T
     up to round-off.
 
+    A[j, k] = a(|j - k| dt) is symmetric Toeplitz and the trapezoid weights
+    mirror, so the weighted kernel commutes with the index reversal J. With
+    K11 and K12 its upper blocks, the eigenvectors are [x; Jx] / sqrt(2) for
+    the eigenpairs of K11 + K12 J and [x; -Jx] / sqrt(2) for those of
+    K11 - K12 J (Cantoni & Butler 1976, Linear Algebra Appl. 13:275): two
+    eigendecompositions of half the size. (K12 J)[j, k] = a((N - 1 - j - k) dt).
+
     The kernel is symmetric positive semidefinite; eigenvalues at or below
     ``_KERNEL_EIG_CUT`` of the largest are dropped. Cached per (grid, filter),
     so equal filters on both sides share one factor; the arrays are read-only.
     """
-    tau = grid.tau
-    sw = np.sqrt(grid.trapezoid_weights)
-    a = gaussian_time_kernel(filt.sigma_f, tau[:, None] - tau[None, :])
-    lam, q = np.linalg.eigh(sw[:, None] * a * sw[None, :])
-    keep = lam > _KERNEL_EIG_CUT * lam[-1]
-    lam, q = lam[keep], q[:, keep]
+    n, m = grid.n_points, grid.n_points // 2
+    a = gaussian_time_kernel(filt.sigma_f, np.arange(n) * grid.dt)
+    j = np.arange(m)
+    sw = np.sqrt(grid.trapezoid_weights[:m])
+    outer = sw[:, None] * sw[None, :]
+    toeplitz = outer * a[np.abs(j[:, None] - j[None, :])]
+    hankel = outer * a[n - 1 - j[:, None] - j[None, :]]
+    lam_s, x_s = np.linalg.eigh(toeplitz + hankel)
+    lam_a, x_a = np.linalg.eigh(toeplitz - hankel)
+    cut = _KERNEL_EIG_CUT * max(lam_s[-1], lam_a[-1])
+    x_s, x_a = x_s[:, lam_s > cut], x_a[:, lam_a > cut]
+    lam = np.concatenate([lam_s[lam_s > cut], lam_a[lam_a > cut]])
+    q = np.concatenate([np.hstack([x_s, x_a]),
+                        np.hstack([x_s[::-1], -x_a[::-1]])]) / math.sqrt(2.0)
+    order = np.argsort(lam)
+    lam, q = lam[order], q[:, order]
     lam.flags.writeable = False
     q.flags.writeable = False
     return lam, q
@@ -210,7 +249,9 @@ def _schmidt_core(diag: DiagonalJTA, filters: FilterPair) -> np.ndarray:
     if sig.is_gaussian and idl.is_gaussian:
         lam_a, qa = _kernel_factor(grid, sig)
         lam_b, qb = _kernel_factor(grid, idl)
-        inner = (qa.T * (diag.values / (2.0 * math.pi))[None, :]) @ qb
+        v = diag.values / (2.0 * math.pi)
+        # two real products: a complex left factor would copy qb to complex
+        inner = (qa.T * v.real) @ qb + 1j * ((qa.T * v.imag) @ qb)
         return lam_a[:, None] * inner * lam_b[None, :]
     lam, q = _kernel_factor(grid, sig if sig.is_gaussian else idl)
     scaled = diag.values * (DELTA_KERNEL_WEIGHT / (2.0 * math.pi))
@@ -245,8 +286,9 @@ def purity_quadrature(diag: DiagonalJTA, filters: FilterPair) -> float:
         raise ConfigError("four-fold purity quadrature needs gaussian filters on both sides")
     tau = diag.grid.tau
     v = diag.grid.trapezoid_weights * diag.values
-    os = _overlap_matrix(filters.signal, tau)
-    oi = _overlap_matrix(filters.idler, tau)
+    sep = math.sqrt(2.0) * (tau[:, None] - tau[None, :])
+    os = overlap(filters.signal, sep)
+    oi = overlap(filters.idler, sep)
     norm = float(np.real(np.conj(v) @ (os * oi) @ v))
     if norm == 0.0:
         raise DegenerateInputError("zero amplitude: heralded purity undefined")

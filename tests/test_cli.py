@@ -296,6 +296,25 @@ def test_one_eta_kernel_per_configuration(tmp_path, monkeypatch, flag):
     assert any("exceeds the low-excitation bound" in w for w in doc["warnings"])
 
 
+@pytest.mark.parametrize("idler", [BASE["filters"]["idler"], {"shape": "none"}],
+                         ids=["both_filtered", "signal_only"])
+def test_a_sweep_evaluates_overlaps_on_lag_vectors_only(tmp_path, monkeypatch, idler):
+    """eta, its resolution sentinel and the single-sided purity sum over the
+    lags of a Toeplitz kernel; no N x N overlap matrix is formed."""
+    shapes = []
+    real = sfwmsim.metrics.overlap
+    monkeypatch.setattr(sfwmsim.metrics, "overlap",
+                        lambda filt, x: shapes.append(np.shape(x)) or real(filt, x))
+    raw = json.loads(json.dumps(BASE))
+    raw["filters"]["idler"] = idler
+    sweep = _write_sweep(tmp_path, {"parameter": "lambda", "values": [1.0, 2.0],
+                                    "models": ["linear", "simple_sxpm"]})
+    assert main(["sweep", "--config", _write_config(tmp_path, raw), "--sweep", sweep,
+                 "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert shapes
+    assert all(shape == (BASE["grid"]["n_points"],) for shape in shapes)
+
+
 def test_literal_z_flag_changes_lossy_results(tmp_path):
     raw = json.loads(json.dumps(BASE))
     raw["pump"]["P0"] = 1.0

@@ -10,15 +10,18 @@ from sfwmsim import (AccuracyWarning, ConfigError, DegenerateInputError,
                      TemporalGrid, UndefinedEfficiencyError, compute_pair_metrics,
                      filtered_jta, filtered_jta_linear_gaussian, gaussian_eta,
                      gaussian_nu, gaussian_purity, heralding_efficiency,
-                     jta_general, jta_linear, jta_simple, jta_sinc,
-                     pair_probability, purity_quadrature,
+                     gaussian_time_kernel, jta_general, jta_linear, jta_simple,
+                     jta_sinc, overlap, pair_probability, purity_quadrature,
                      purity_schmidt, schmidt_mode_count, single_sided_eta,
                      single_sided_purity, validate_low_excitation)
-from conftest import make_filters, make_grid, make_pump, make_waveguide
+from conftest import filter_for_ratio, make_filters, make_grid, make_pump, make_waveguide
 
 PURITY_22 = math.sqrt(80.0 / 81.0)  # lambda = mu = 2
 ETA_01_22 = 5.590169943749474e-4    # phi = 0.1, lambda = mu = 2
 NU_22 = 1.0 / math.sqrt(10.0)
+TIERS = pytest.mark.parametrize(
+    "model", [jta_linear, jta_simple, jta_sinc, jta_general],
+    ids=["linear", "simple_sxpm", "sinc", "general_quadrature"])
 
 
 def _linear_setup(phi, lam, mu, n_points=512):
@@ -101,6 +104,59 @@ def test_resolution_check_keeps_warning_for_a_tiny_eta(p0):
     assert pm.eta > 0.0
 
 
+def _dense_overlap(filt, grid):
+    """The N x N overlap matrix O(sqrt(2) (tau_j - tau_k))."""
+    tau = grid.tau
+    return overlap(filt, math.sqrt(2.0) * (tau[:, None] - tau[None, :]))
+
+
+@pytest.mark.parametrize("n_points", [64, 512, 2048])
+@pytest.mark.parametrize("lam, mu", [(2.0, 2.0), (1.3, 2.7)], ids=["equal", "unequal"])
+@TIERS
+def test_eta_matches_the_dense_quadratic_form(model, lam, mu, n_points):
+    # the lag sum against v* K v with the dense kernel K = Os * Oi
+    pump, wg, filters, grid = _linear_setup(1.0, lam, mu, n_points=n_points)
+    diag = model(pump, wg, grid)
+    k = _dense_overlap(filters.signal, grid) * _dense_overlap(filters.idler, grid)
+    v = grid.trapezoid_weights * diag.values
+    kv = k @ v
+    eta = float(np.real(np.conj(v) @ kv)) / (4.0 * math.pi ** 2)
+    raw = complex(v @ kv) / (4.0 * math.pi ** 2)
+    assert abs(pair_probability(diag, filters) - eta) <= 1e-13 * eta
+    got = pair_probability(diag, filters, conjugated=False)
+    assert abs(got.real - raw.real) <= 1e-13 * eta
+    assert abs(got.imag - raw.imag) <= 1e-13 * eta
+
+
+@pytest.mark.parametrize("n", [8, 64, 1024])
+def test_lag_sum_equals_the_dense_toeplitz_forms(rng, n):
+    # a kernel and a vector spread over the whole grid, so wrap-around shows
+    kappa = rng.uniform(0.5, 1.0, n)
+    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    d = np.arange(n)
+    k = kappa[np.abs(d[:, None] - d[None, :])]
+    dense = np.conj(v) @ k @ v
+    assert sfwmsim.metrics._lag_sum(kappa, v) == pytest.approx(dense.real, rel=1e-13)
+    bilinear = v @ k @ v
+    got = sfwmsim.metrics._lag_sum(kappa, v, conjugated=False)
+    assert abs(got - bilinear) <= 1e-13 * abs(dense)
+
+
+@pytest.mark.parametrize("n_points", [64, 512, 2048])
+def test_resolution_sentinel_is_the_half_grid_eta(n_points):
+    """Every second lag of the eta kernel is the kernel of the half grid, bit
+    for bit, so the sentinel's coarse eta is that grid's eta."""
+    pump, wg, filters, grid = _linear_setup(1.0, 1.3, 2.7, n_points=n_points)
+    diag = jta_simple(pump, wg, grid)
+    lags = sfwmsim.metrics._overlap_lags(grid)
+    kappa = overlap(filters.signal, lags) * overlap(filters.idler, lags)
+    coarse = sfwmsim.metrics._quadratic_form(diag, kappa, True, step=2)
+    half = TemporalGrid(n_points // 2, 2.0 * grid.dt)
+    assert np.array_equal(sfwmsim.metrics._overlap_lags(half), lags[::2])
+    coarse_diag = DiagonalJTA(half, np.ascontiguousarray(diag.values[::2]))
+    assert coarse == pair_probability(coarse_diag, filters)
+
+
 def _half_grid_drift(pump, wg, filters, grid):
     half = TemporalGrid(n_points=grid.n_points // 2, dt=2.0 * grid.dt)
     eta = pair_probability(jta_simple(pump, wg, grid), filters)
@@ -151,6 +207,19 @@ def test_single_sided_purity_of_a_weak_pump(phi):
     want = single_sided_purity(jta_linear(strong, make_waveguide(), grid), filt)
     got = single_sided_purity(jta_linear(weak, make_waveguide(), grid), filt)
     assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("n_points", [64, 512, 2048])
+@TIERS
+def test_single_sided_purity_matches_the_dense_form(model, n_points):
+    pump, wg, _, grid = _linear_setup(1.0, 2.0, 0.0, n_points=n_points)
+    filt = FilterSpec(sigma_f=0.25)
+    diag = model(pump, wg, grid)
+    q = grid.trapezoid_weights * np.abs(diag.values) ** 2
+    o_sq = np.abs(_dense_overlap(filt, grid)) ** 2
+    eta = single_sided_eta(diag, filt)
+    dense = 2.0 * float(q @ o_sq @ q) / (8.0 * math.pi ** 2 * eta ** 2)
+    assert abs(single_sided_purity(diag, filt) - dense) <= 1e-13 * dense
 
 
 def test_single_sided_purity_unfiltered_limit_is_zero():
@@ -336,8 +405,7 @@ def test_compute_pair_metrics_single_sided():
 @pytest.mark.parametrize("n_points", [64, 512])
 @pytest.mark.parametrize("lam, mu", [(2.0, 2.0), (1.3, 2.7), (2.0, 0.0), (0.0, 2.0)],
                          ids=["equal", "unequal", "signal_only", "idler_only"])
-@pytest.mark.parametrize("model", [jta_linear, jta_simple, jta_sinc, jta_general],
-                         ids=["linear", "simple_sxpm", "sinc", "general_quadrature"])
+@TIERS
 def test_factored_schmidt_spectrum_matches_the_dense_oracle(model, lam, mu, n_points):
     # the dense filtered amplitude and its full SVD stay the reference
     pump, wg, filters, grid = _linear_setup(1.0, lam, mu, n_points=n_points)
@@ -361,3 +429,20 @@ def test_cached_kernel_factors_are_read_only():
         lam[0] = 0.0
     with pytest.raises(ValueError):
         q[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("n_points", [64, 512, 2048])
+@pytest.mark.parametrize("ratio", [0.5, 3.0])
+def test_half_size_kernel_factor_matches_the_dense_kernel(ratio, n_points):
+    pump = make_pump(phi_max=1.0)
+    filt = filter_for_ratio(ratio, pump)
+    grid = make_grid(pump, [filt], n_points=n_points)
+    lam, q = sfwmsim.metrics._kernel_factor(grid, filt)
+    tau = grid.tau
+    sw = np.sqrt(grid.trapezoid_weights)
+    dense = (sw[:, None] * gaussian_time_kernel(filt.sigma_f, tau[:, None] - tau[None, :])
+             * sw[None, :])
+    assert np.max(np.abs(q.T @ q - np.eye(lam.size))) <= 1e-13
+    assert np.linalg.norm((q * lam) @ q.T - dense) <= 1e-13 * np.linalg.norm(dense)
+    full = np.linalg.eigvalsh(dense)[::-1][:lam.size]
+    assert np.max(np.abs(lam[::-1] - full)) <= 1e-14 * full[0]

@@ -3,16 +3,16 @@
 unfiltered, eta and the heralded purity do not depend on any phase carried
 by the diagonal amplitude, and filtering only the signal or only the idler at
 the same bandwidth ratio gives the same numbers), agreement of the factored
-Schmidt spectrum with the dense filtered amplitude, and signal/idler symmetry
-with both sides filtered."""
+Schmidt spectrum with the dense filtered amplitude, signal/idler symmetry
+with both sides filtered, and eta proportional to phi^2 in the linear tier."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sfwmsim import (DiagonalJTA, FilterPair, FilterSpec, compute_pair_metrics,
-                     filtered_jta, jta_linear, jta_simple, jta_sinc, purity_schmidt,
-                     schmidt_mode_count)
+                     filtered_jta, gaussian_eta, jta_linear, jta_simple, jta_sinc,
+                     purity_schmidt, schmidt_mode_count)
 from conftest import filter_for_ratio, make_filters, make_grid, make_pump, make_waveguide
 
 
@@ -86,3 +86,18 @@ def test_swapping_lambda_and_mu_mirrors_the_pair(lam, mu, phi, n_points):
     assert abs(swapped.purity - plain.purity) <= 1e-12
     assert len(swapped.schmidt_weights) == len(plain.schmidt_weights)
     assert np.max(np.abs(swapped.schmidt_weights - plain.schmidt_weights)) <= 1e-12
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(lam=st.floats(0.5, 3.0), mu=st.floats(0.5, 3.0),
+       phi=st.floats(1e-100, 2.0), n_points=st.sampled_from([128, 256]))
+def test_eta_scales_as_phi_squared_in_the_linear_tier(lam, mu, phi, n_points):
+    # below phi ~ 1e-154 eta underflows and is reported as 0; N = 64 is too
+    # coarse for the closed form (at lambda = mu = 3 it misses by 1.8e-2)
+    pump = make_pump(phi_max=phi)
+    filters = make_filters(lam, mu, pump)
+    grid = make_grid(pump, [filters.signal, filters.idler], n_points=n_points)
+    eta = compute_pair_metrics(jta_linear(pump, make_waveguide(), grid), filters).eta
+    doubled = jta_linear(make_pump(phi_max=2.0 * phi), make_waveguide(), grid)
+    assert compute_pair_metrics(doubled, filters).eta / eta == pytest.approx(4.0, rel=1e-12)
+    assert eta == pytest.approx(gaussian_eta(phi, lam, mu), rel=1e-8)
