@@ -50,25 +50,33 @@ def _coordinates(grid) -> np.ndarray:
     return grid.tau if hasattr(grid, "tau") else grid.omega
 
 
-def _write_csv(path, header, rows) -> None:
-    """The one CSV writer: the csv module's default dialect (CRLF line ends,
-    minimal quoting), a header row, then ``rows`` as they stream in."""
+def _write_lines(path, chunks) -> None:
+    """Write pre-joined CSV text, one ``write`` per chunk as it streams in.
+
+    The float tables are written this way, not through ``csv.writer``: their
+    fields are reprs of finite floats and fixed header names, none of which
+    holds a comma, quote or line break, so joining them with "," and ending
+    each line with CRLF gives the csv module's default-dialect bytes without
+    its per-field cost.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        for chunk in chunks:
+            fh.write(chunk)
 
 
-def _float_rows(rows):
-    """Each numpy row as repr strings (exact on read-back), one row at a time."""
-    for row in rows:
-        yield map(repr, row.tolist())
+def _coords_lines(rows: list[str], cols: list[str], vals: np.ndarray):
+    """The (row_coord, col_coord, re, im) table, one matrix row per chunk."""
+    yield "row_coord,col_coord,re,im\r\n"
+    for r, row in zip(rows, vals):
+        yield "".join([f"{r},{c},{re!r},{im!r}\r\n" for c, re, im
+                       in zip(cols, row.real.tolist(), row.imag.tolist())])
 
 
-def _coords_rows(cs: np.ndarray, ci: np.ndarray, vals: np.ndarray):
-    """(row_coord, col_coord, re, im) in row-major order, one matrix row at a time."""
-    for rc, row in zip(cs, vals):
-        yield from np.column_stack((np.full(len(ci), rc), ci, row.real, row.imag))
+def _grid_lines(rows: list[str], cols: list[str], table: np.ndarray):
+    """A grid-layout table: a coord header, then each row led by its coordinate."""
+    yield ",".join(["coord", *cols]) + "\r\n"
+    for r, row in zip(rows, table):
+        yield ",".join([r, *map(repr, row.tolist())]) + "\r\n"
 
 
 def export_matrix(matrix: JointAmplitudeMatrix, path) -> list[Path]:
@@ -77,20 +85,27 @@ def export_matrix(matrix: JointAmplitudeMatrix, path) -> list[Path]:
     ``path`` gets one long table (row_coord, col_coord, re, im) in row-major
     order; the sibling grid-layout files ``<stem>_magnitude.csv`` and
     ``<stem>_phase.csv`` hold abs and angle. Floats use repr so a read-back
-    round trip is exact. Returns the three paths written.
+    round trip is exact; each coordinate is formatted once per export, and
+    each file is written one matrix row at a time. Returns the three paths
+    written.
     """
     path = Path(path)
-    cs = _coordinates(matrix.grid_s)
-    ci = _coordinates(matrix.grid_i)
+    rows = list(map(repr, _coordinates(matrix.grid_s).tolist()))
+    cols = list(map(repr, _coordinates(matrix.grid_i).tolist()))
     vals = matrix.values
-    _write_csv(path, ["row_coord", "col_coord", "re", "im"],
-               _float_rows(_coords_rows(cs, ci, vals)))
+    _write_lines(path, _coords_lines(rows, cols, vals))
     paths = [path]
-    header = ["coord", *map(repr, ci.tolist())]
     for suffix, table in (("_magnitude", np.abs(vals)), ("_phase", np.angle(vals))):
         paths.append(path.with_name(path.stem + suffix + ".csv"))
-        _write_csv(paths[-1], header, _float_rows(np.column_stack((cs, table))))
+        _write_lines(paths[-1], _grid_lines(rows, cols, table))
     return paths
+
+
+def _write_marginal(path, omega: np.ndarray, spectrum: np.ndarray) -> None:
+    """Write a (detuning, intensity) marginal table with repr floats."""
+    _write_lines(path, ["detuning,intensity\r\n",
+                        "".join([f"{w!r},{s!r}\r\n"
+                                 for w, s in zip(omega.tolist(), spectrum.tolist())])])
 
 
 def read_matrix_coords(path):
@@ -187,9 +202,8 @@ def _cmd_simulate(args) -> int:
     jsa = jta_to_jsa(matrix)
     export_matrix(jsa, out / "jsa.csv")
     for axis, sgrid in (("signal", jsa.grid_s), ("idler", jsa.grid_i)):
-        _write_csv(out / f"marginal_{axis}.csv", ["detuning", "intensity"],
-                   _float_rows(np.column_stack(
-                       (sgrid.omega, marginal_spectrum(jsa, axis=axis)))))
+        _write_marginal(out / f"marginal_{axis}.csv", sgrid.omega,
+                        marginal_spectrum(jsa, axis=axis))
 
     doc = _metrics_document(cfg, pm, notes, regime_result, args)
     with open(out / "metrics.json", "w", encoding="utf-8") as fh:
@@ -347,7 +361,11 @@ def _cmd_sweep(args) -> int:
     out = Path(args.out)
     if out.parent and not out.parent.exists():
         out.parent.mkdir(parents=True, exist_ok=True)
-    _write_csv(out, header, rows)
+    # csv.writer, because the free-text warnings field may need quoting
+    with open(out, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
     print(f"wrote {len(rows)} sweep rows to {out}")
     return 0
 

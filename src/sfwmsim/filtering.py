@@ -107,7 +107,7 @@ class JointAmplitudeMatrix:
             raise ConfigError("joint amplitude must be a 2-D matrix")
         if v.shape != (self.grid_s.n_points, self.grid_i.n_points):
             raise ConfigError("joint amplitude shape does not match its grids")
-        if not np.all(np.isfinite(v.view(float))):
+        if not np.all(np.isfinite(v)):
             raise ConfigError("joint amplitude contains non-finite entries")
         object.__setattr__(self, "values", v)
 

@@ -7,6 +7,7 @@ are born at the same retarded time.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,7 @@ class DiagonalJTA:
         v = np.asarray(self.values, dtype=complex)
         if v.shape != (self.grid.n_points,):
             raise ConfigError("diagonal amplitude length does not match its grid")
-        if not np.all(np.isfinite(v.view(float))):
+        if not np.all(np.isfinite(v)):
             raise ConfigError("diagonal amplitude contains non-finite values")
         object.__setattr__(self, "values", v)
 
@@ -90,8 +91,20 @@ def jta_sinc(pulse: PumpPulse, wg: Waveguide, grid: TemporalGrid) -> DiagonalJTA
     return DiagonalJTA(grid, values)
 
 
-def _general_values(pulse, wg, tau, order, literal_z):
+@functools.cache
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order.
+
+    The arrays are shared by every caller, so they are read-only.
+    """
     nodes, weights = leggauss(order)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+def _general_values(pulse, wg, tau, order, literal_z):
+    nodes, weights = _gauss_legendre(order)
     z = (nodes + 1.0) * (wg.length / 2.0)
     wz = weights * (wg.length / 2.0)
     tau_col = tau[:, None]

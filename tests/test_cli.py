@@ -8,9 +8,10 @@ import pytest
 import sfwmsim.cli
 import sfwmsim.filtering
 import sfwmsim.metrics
-from sfwmsim import (FilterPair, JointAmplitudeMatrix, TemporalGrid,
-                     filtered_jta, gaussian_eta, gaussian_nu, gaussian_purity,
-                     jta_simple, jta_to_jsa, load_config, marginal_spectrum)
+from sfwmsim import (FilterPair, JointAmplitudeMatrix, SpectralGrid,
+                     TemporalGrid, filtered_jta, gaussian_eta, gaussian_nu,
+                     gaussian_purity, jta_simple, jta_to_jsa, load_config,
+                     marginal_spectrum)
 from sfwmsim.cli import (build_diagonal_jta, export_matrix, main,
                          read_matrix_coords)
 from conftest import make_filters, make_pump, make_waveguide
@@ -162,6 +163,76 @@ def test_read_matrix_coords_is_bit_exact(tmp_path, kind):
     np.testing.assert_array_equal(_bits(values), _bits(matrix.values))
     np.testing.assert_array_equal(_bits(rows), _bits(_reference_coordinates(matrix.grid_s)))
     np.testing.assert_array_equal(_bits(cols), _bits(_reference_coordinates(matrix.grid_i)))
+
+
+EDGE_VALUES = [-0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 0.0001,
+               9999999999999998.0, 1e16, -1.5e300]
+
+
+def _edge_matrix(domain):
+    """An 8x8 amplitude holding the float reprs that change form (signed zero,
+    subnormal, exponent switch) in both parts, on a temporal or spectral grid."""
+    grid = TemporalGrid(n_points=8, dt=0.1)
+    if domain == "frequency":
+        grid = SpectralGrid.conjugate_to(grid)
+    re = np.array([np.roll(EDGE_VALUES, k) * (-1.0) ** k for k in range(8)])
+    values = np.empty((8, 8), dtype=complex)
+    values.real, values.imag = re, re[::-1, ::-1]
+    return JointAmplitudeMatrix(grid, grid, values)
+
+
+@pytest.mark.parametrize("domain", ["time", "frequency"])
+def test_export_matrix_edge_values_match_the_reference_writer(tmp_path, domain):
+    matrix = _edge_matrix(domain)
+    paths = export_matrix(matrix, tmp_path / "m.csv")
+    for new, ref in zip(paths, _reference_export(matrix, tmp_path / "ref.csv")):
+        assert new.read_bytes() == ref.read_bytes(), new.name
+    rows, cols, values = read_matrix_coords(paths[0])
+    np.testing.assert_array_equal(_bits(values), _bits(matrix.values))
+    np.testing.assert_array_equal(_bits(rows), _bits(_reference_coordinates(matrix.grid_s)))
+    np.testing.assert_array_equal(_bits(cols), _bits(_reference_coordinates(matrix.grid_i)))
+    for part in (values.real, values.imag):
+        assert np.any((part == 0.0) & np.signbit(part))
+
+
+def test_marginal_edge_values_match_the_reference_writer(tmp_path):
+    omega = np.array(EDGE_VALUES) * 0.5
+    spectrum = np.array(EDGE_VALUES[::-1])
+    sfwmsim.cli._write_marginal(tmp_path / "m.csv", omega, spectrum)
+    _reference_marginal(tmp_path / "ref.csv", omega, spectrum)
+    assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    back = np.loadtxt(tmp_path / "m.csv", delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(_bits(back), _bits(np.column_stack((omega, spectrum))))
+
+
+def test_export_matrix_writes_at_most_one_row_at_a_time(tmp_path, monkeypatch):
+    """Each write holds at most one matrix row of text, so peak memory never
+    scales with the whole file."""
+    sizes = []
+
+    class Recorder:
+        def __init__(self, fh):
+            self._fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self._fh.__exit__(*exc)
+
+        def write(self, text):
+            sizes.append(len(text))
+            return self._fh.write(text)
+
+    monkeypatch.setattr(sfwmsim.cli, "open",
+                        lambda *a, **k: Recorder(open(*a, **k)), raising=False)
+    n = 128
+    pump = make_pump(phi_max=1.0)
+    diag = jta_simple(pump, make_waveguide(), TemporalGrid(n_points=n, dt=0.125))
+    matrix = filtered_jta(diag, make_filters(2, 3, pump))
+    paths = export_matrix(matrix, tmp_path / "m.csv")
+    assert sum(sizes) == sum(p.stat().st_size for p in paths)
+    assert max(sizes) <= n * 100
 
 
 def test_simulate_csv_files_match_the_reference_writer(tmp_path):

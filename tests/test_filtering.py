@@ -68,6 +68,18 @@ def test_joint_matrix_validation():
             JointAmplitudeMatrix(grid_s, grid_i, np.ones((16, 16), dtype=complex))
 
 
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, -np.inf)])
+def test_joint_matrix_accepts_column_strided_views_and_rejects_strided_non_finite(bad):
+    grid = TemporalGrid(n_points=16, dt=0.5)
+    rng = np.random.default_rng(3)
+    wide = rng.standard_normal((16, 32)) + 1j * rng.standard_normal((16, 32))
+    matrix = JointAmplitudeMatrix(grid, grid, wide[:, ::2])
+    np.testing.assert_array_equal(matrix.values, wide[:, ::2])
+    wide[5, 8] = bad
+    with pytest.raises(ConfigError, match="non-finite"):
+        JointAmplitudeMatrix(grid, grid, wide[:, ::2])
+
+
 @pytest.mark.parametrize("lam,mu", [(2.0, 2.0), (1.0, 4.0), (0.5, 2.0)])
 def test_convolved_linear_jta_matches_closed_form(lam, mu):
     """Trapezoid convolution vs the analytic filtered amplitude."""

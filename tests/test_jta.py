@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
+
+import sfwmsim.jta
 
 from sfwmsim import (AccuracyError, ConfigError, DiagonalJTA,
                      ModelCompatibilityError, TemporalGrid, jta_general,
@@ -138,6 +141,43 @@ def test_diagonal_jta_validation():
     bad[3] = np.nan + 0j
     with pytest.raises(ConfigError):
         DiagonalJTA(grid, bad)
+
+
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.inf)])
+def test_diagonal_jta_accepts_strided_views_and_rejects_strided_non_finite(bad):
+    pump = make_pump(phi_max=1.0)
+    grid = make_grid(pump, n_points=128)
+    diag = jta_simple(pump, make_waveguide(), grid)
+    half_grid = TemporalGrid(n_points=64, dt=2.0 * grid.dt)
+    half = DiagonalJTA(half_grid, diag.values[::2])
+    np.testing.assert_array_equal(half.values, diag.values[::2])
+    values = diag.values.copy()
+    values[6] = bad
+    with pytest.raises(ConfigError, match="non-finite"):
+        DiagonalJTA(half_grid, values[::2])
+
+
+@pytest.mark.parametrize("order", [64, 128])
+def test_gauss_legendre_rules_are_cached_and_read_only(order):
+    nodes, weights = sfwmsim.jta._gauss_legendre(order)
+    assert sfwmsim.jta._gauss_legendre(order) == (nodes, weights)
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    with pytest.raises(ValueError):
+        nodes[0] = 0.0
+    ref_nodes, ref_weights = leggauss(order)
+    np.testing.assert_array_equal(nodes.view(np.uint64), ref_nodes.view(np.uint64))
+    np.testing.assert_array_equal(weights.view(np.uint64), ref_weights.view(np.uint64))
+
+
+@pytest.mark.parametrize("literal_z", [False, True])
+def test_general_with_cached_rules_equals_direct_leggauss(monkeypatch, literal_z):
+    pump = make_pump(phi_max=1.0)
+    wg = make_waveguide(alpha=0.2, alpha2_P=0.5, delta_beta0=1.5)
+    grid = make_grid(pump, n_points=128)
+    cached = jta_general(pump, wg, grid, literal_z=literal_z).values
+    monkeypatch.setattr(sfwmsim.jta, "_gauss_legendre", leggauss)
+    direct = jta_general(pump, wg, grid, literal_z=literal_z).values
+    np.testing.assert_array_equal(cached.view(np.uint64), direct.view(np.uint64))
 
 
 def test_edge_tail_ratio():
