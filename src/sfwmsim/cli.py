@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (MODEL_NAMES, SimulationConfig, load_config, number_error,
-                     read_json, validate_config)
+from .config import (MODEL_NAMES, SimulationConfig, _anchor, load_config,
+                     number_error, read_json, validate_config)
 from .errors import AccuracyError, AccuracyWarning, ConfigError
 from .filtering import FilterPair, JointAmplitudeMatrix, filtered_jta
 from .grids import build_temporal_grid
@@ -31,6 +31,10 @@ from .pump import check_free_carrier_regime, phi_max
 from .spectral import jta_to_jsa, marginal_spectrum
 
 _SWEEP_PARAMETERS = ("phi_max", "lambda", "mu", "sigma_t", "delta_beta0")
+
+# simulate refuses a grid whose dense N x N arrays would need more than this;
+# it admits N = 4096 (about 1.3 GB) and rejects N = 8192 (about 5.4 GB)
+_SIMULATE_MAX_BYTES = 4 * 2 ** 30
 
 
 def build_diagonal_jta(cfg: SimulationConfig, literal_z: bool = False) -> DiagonalJTA:
@@ -185,9 +189,35 @@ def _metrics_document(cfg: SimulationConfig, pm, notes: list[str],
     return doc
 
 
+def _simulate_peak_bytes(n_points: int) -> int:
+    """Upper estimate of the bytes ``simulate`` holds at once in dense N x N
+    arrays: five complex ones (16 bytes per entry), covering the filtered
+    JTA, the JSA and the temporaries of the transform and of the magnitude
+    and phase views. tracemalloc measured 65.7 N^2 bytes at N = 512.
+    """
+    return 5 * 16 * n_points ** 2
+
+
+def _check_simulate_memory(cfg: SimulationConfig, args) -> None:
+    """Reject, before any work, a grid whose dense arrays exceed the limit."""
+    n = cfg.grid.n_points
+    need = _simulate_peak_bytes(n)
+    if need <= _SIMULATE_MAX_BYTES:
+        return
+    detail = (f"{n} needs about {need / 2 ** 30:.3g} GiB for the dense N x N "
+              f"matrices simulate writes, over its {_SIMULATE_MAX_BYTES / 2 ** 30:.3g} GiB "
+              "limit; use a smaller grid")
+    if args.grid_points is not None:
+        message = f"--grid-points: {detail}"
+    else:
+        message = _anchor(read_json(args.config)[1], f"grid.n_points: {detail}")
+    raise ConfigError(message)
+
+
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config, grid_points=args.grid_points,
                       span_sigmas=args.span_sigmas)
+    _check_simulate_memory(cfg, args)
     diag, filters, pm, notes = _evaluate(cfg, conjugated=not args.non_conjugated_eta,
                                          literal_z=args.as_printed_eq9)
     regime_result, regime_note = _regime_report(cfg)

@@ -197,42 +197,84 @@ def purity_schmidt(matrix: JointAmplitudeMatrix | np.ndarray) -> SchmidtDecompos
     return SchmidtDecomposition(purity=float(np.sum(g ** 4)), weights=g)
 
 
+def _pivoted_cholesky(column, diagonal: np.ndarray) -> np.ndarray:
+    """Rows L (r x m) with L^T L equal to a positive semidefinite B up to a
+    residual of trace at most ``_KERNEL_EIG_CUT`` times a lower bound on the
+    largest eigenvalue of B (Harbrecht, Peters & Schneider 2012, Appl. Numer.
+    Math. 62:428). B is never formed: ``column(p)`` returns a fresh B[:, p].
+
+    The bound is ||B e_p||^2 / B_pp for the first pivot p, a Rayleigh
+    quotient of B^2 over B. The residual B - L^T L is positive semidefinite,
+    so every eigenvalue it drops is at most its trace, the sum of the
+    residual diagonal d kept here.
+    """
+    m = diagonal.size
+    rows = np.empty((min(m, 64), m))  # doubled as needed: O(m r) memory
+    d = diagonal.copy()
+    for k in range(m):
+        p = int(np.argmax(d))
+        if d[p] <= 0.0:
+            return rows[:k]
+        if k == len(rows):
+            rows = np.concatenate([rows, np.empty((min(k, m - k), m))])
+        row = column(p)
+        if k:
+            row -= rows[:k, p] @ rows[:k]
+        row /= math.sqrt(d[p])
+        rows[k] = row
+        if k == 0:
+            tol = _KERNEL_EIG_CUT * float(row @ row)
+        d -= row * row
+        d[p] = 0.0
+        if d.sum() <= tol:
+            return rows[:k + 1]
+    return rows
+
+
 @functools.lru_cache(maxsize=4)
-def _kernel_factor(grid: TemporalGrid, filt: FilterSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs (lam, Q) of the measure-weighted time kernel
-    sqrt(W) A sqrt(W) of a gaussian filter, so that it equals Q diag(lam) Q^T
-    up to round-off.
+def _kernel_factor(grid: TemporalGrid, filt: FilterSpec) -> np.ndarray:
+    """P = Q diag(lam), from the eigenpairs (lam, Q) of the measure-weighted
+    time kernel K = sqrt(W) A sqrt(W) of a gaussian filter, so that
+    P P^T = K^2 up to round-off and the column norms of P are the
+    eigenvalues of K.
 
     A[j, k] = a(|j - k| dt) is symmetric Toeplitz and the trapezoid weights
     mirror, so the weighted kernel commutes with the index reversal J. With
     K11 and K12 its upper blocks, the eigenvectors are [x; Jx] / sqrt(2) for
     the eigenpairs of K11 + K12 J and [x; -Jx] / sqrt(2) for those of
-    K11 - K12 J (Cantoni & Butler 1976, Linear Algebra Appl. 13:275): two
-    eigendecompositions of half the size. (K12 J)[j, k] = a((N - 1 - j - k) dt).
+    K11 - K12 J (Cantoni & Butler 1976, Linear Algebra Appl. 13:275).
+    (K12 J)[j, k] = a((N - 1 - j - k) dt), so column p of either half block
+    is sw * sw[p] * (a[|j - p|] +- a[N - 1 - j - p]).
+
+    Each half block B is factored as B = L^T L by ``_pivoted_cholesky``
+    without being formed, in O(N r^2) for rank r; the r x r Gram
+    L L^T = V diag(mu) V^T gives its eigenpairs mu and L^T V diag(mu^-1/2),
+    hence its half of P as L^T V diag(sqrt(mu)). Nothing is divided by
+    sqrt(mu), which would cost the small columns their orthogonality.
 
     The kernel is symmetric positive semidefinite; eigenvalues at or below
     ``_KERNEL_EIG_CUT`` of the largest are dropped. Cached per (grid, filter),
-    so equal filters on both sides share one factor; the arrays are read-only.
+    so equal filters on both sides share one factor; P is read-only.
     """
     n, m = grid.n_points, grid.n_points // 2
     a = gaussian_time_kernel(filt.sigma_f, np.arange(n) * grid.dt)
-    j = np.arange(m)
+    # a[|j - p|] = mirrored[m - 1 - p + j] and a[n - 1 - j - p] = reversed_[p + j]
+    mirrored, reversed_ = np.concatenate([a[m - 1:0:-1], a[:m]]), a[::-1]
     sw = np.sqrt(grid.trapezoid_weights[:m])
-    outer = sw[:, None] * sw[None, :]
-    toeplitz = outer * a[np.abs(j[:, None] - j[None, :])]
-    hankel = outer * a[n - 1 - j[:, None] - j[None, :]]
-    lam_s, x_s = np.linalg.eigh(toeplitz + hankel)
-    lam_a, x_a = np.linalg.eigh(toeplitz - hankel)
-    cut = _KERNEL_EIG_CUT * max(lam_s[-1], lam_a[-1])
-    x_s, x_a = x_s[:, lam_s > cut], x_a[:, lam_a > cut]
-    lam = np.concatenate([lam_s[lam_s > cut], lam_a[lam_a > cut]])
-    q = np.concatenate([np.hstack([x_s, x_a]),
-                        np.hstack([x_s[::-1], -x_a[::-1]])]) / math.sqrt(2.0)
-    order = np.argsort(lam)
-    lam, q = lam[order], q[:, order]
-    lam.flags.writeable = False
-    q.flags.writeable = False
-    return lam, q
+    halves = []
+    for sign in (1.0, -1.0):
+        def column(p, sign=sign):
+            return sw * (sw[p] * (mirrored[m - 1 - p:n - 1 - p] + sign * reversed_[p:p + m]))
+        rows = _pivoted_cholesky(column, sw * sw * (a[0] + sign * a[n - 1::-2][:m]))
+        mu, v = np.linalg.eigh(rows @ rows.T)
+        halves.append((mu, rows.T @ (v * np.sqrt(np.maximum(mu, 0.0)))))
+    (mu_s, p_s), (mu_a, p_a) = halves
+    cut = _KERNEL_EIG_CUT * np.concatenate([mu_s, mu_a]).max()
+    p_s, p_a = p_s[:, mu_s > cut], p_a[:, mu_a > cut]
+    p = np.concatenate([np.hstack([p_s, p_a]),
+                        np.hstack([p_s[::-1], -p_a[::-1]])]) / math.sqrt(2.0)
+    p.flags.writeable = False
+    return p
 
 
 def _schmidt_core(diag: DiagonalJTA, filters: FilterPair) -> np.ndarray:
@@ -240,22 +282,22 @@ def _schmidt_core(diag: DiagonalJTA, filters: FilterPair) -> np.ndarray:
 
     That amplitude is M = A^ diag(v / 2 pi) B^, with A^ and B^ the weighted
     kernels of ``_kernel_factor`` and v the diagonal samples. With
-    A^ = Qa La Qa^T and B^ = Qb Lb Qb^T the core is La (Qa^T diag(v / 2 pi) Qb) Lb.
-    An unfiltered side is a delta kernel: M collapses to A^ diag(v) sqrt(2 pi)/2 pi
-    (or its transpose), whose core is La Qa^T diag(v sqrt(2 pi) / 2 pi).
+    A^ = Qa La Qa^T, B^ = Qb Lb Qb^T and Pa = Qa La, Pb = Qb Lb the core is
+    Pa^T diag(v / 2 pi) Pb. An unfiltered side is a delta kernel: M collapses
+    to A^ diag(v) sqrt(2 pi)/2 pi (or its transpose), whose core is
+    Pa^T diag(v sqrt(2 pi) / 2 pi).
     """
     sig, idl = filters.signal, filters.idler
     grid = diag.grid
     if sig.is_gaussian and idl.is_gaussian:
-        lam_a, qa = _kernel_factor(grid, sig)
-        lam_b, qb = _kernel_factor(grid, idl)
+        pa = _kernel_factor(grid, sig)
+        pb = _kernel_factor(grid, idl)
         v = diag.values / (2.0 * math.pi)
-        # two real products: a complex left factor would copy qb to complex
-        inner = (qa.T * v.real) @ qb + 1j * ((qa.T * v.imag) @ qb)
-        return lam_a[:, None] * inner * lam_b[None, :]
-    lam, q = _kernel_factor(grid, sig if sig.is_gaussian else idl)
+        # two real products: a complex left factor would copy pb to complex
+        return (pa.T * v.real) @ pb + 1j * ((pa.T * v.imag) @ pb)
+    p = _kernel_factor(grid, sig if sig.is_gaussian else idl)
     scaled = diag.values * (DELTA_KERNEL_WEIGHT / (2.0 * math.pi))
-    return lam[:, None] * (q.T * scaled[None, :])
+    return p.T * scaled[None, :]
 
 
 def schmidt_mode_count(weights: np.ndarray) -> int:

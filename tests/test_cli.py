@@ -647,3 +647,50 @@ def test_a_sweep_with_equal_filters_factors_one_kernel(tmp_path):
     info = sfwmsim.metrics._kernel_factor.cache_info()
     assert info.misses == 1
     assert info.hits == 2 * 36 - 1
+
+
+def test_a_sweep_factors_kernels_from_small_eigenproblems(tmp_path, monkeypatch):
+    """The kernel factors take eigh of the r x r Gram of a pivoted Cholesky
+    factor, never of a dense N/2 x N/2 kernel block."""
+    shapes = []
+    real = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda x, *a, **k: shapes.append(np.shape(x)) or real(x, *a, **k))
+    sfwmsim.metrics._kernel_factor.cache_clear()
+    sweep = _write_sweep(tmp_path, {"parameter": "lambda", "values": [2.0],
+                                    "models": ["simple_sxpm"]})
+    assert main(["sweep", "--config", _write_config(tmp_path), "--sweep", sweep,
+                 "--out", str(tmp_path / "sweep.csv"), "--grid-points", "1024"]) == 0
+    assert shapes
+    assert all(max(shape) <= 256 for shape in shapes)
+
+
+def test_simulate_peak_estimate_grows_as_n_squared():
+    assert sfwmsim.cli._simulate_peak_bytes(256) == 80 * 256 ** 2
+    assert sfwmsim.cli._simulate_peak_bytes(4096) <= sfwmsim.cli._SIMULATE_MAX_BYTES
+    assert sfwmsim.cli._simulate_peak_bytes(8192) > sfwmsim.cli._SIMULATE_MAX_BYTES
+
+
+@pytest.mark.parametrize("override", [False, True], ids=["config", "grid_points"])
+def test_simulate_rejects_a_grid_over_the_memory_limit_before_any_work(
+        tmp_path, capsys, monkeypatch, override):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("simulate went past its memory check")
+
+    monkeypatch.setattr(sfwmsim.cli, "_evaluate", unreachable)
+    monkeypatch.setattr(sfwmsim.cli, "filtered_jta", unreachable)
+    raw = json.loads(json.dumps(BASE))
+    extra = []
+    if override:
+        extra = ["--grid-points", "65536"]
+    else:
+        raw["grid"]["n_points"] = 65536
+    cfg = _write_config(tmp_path, raw)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out), *extra]) == 2
+    err = capsys.readouterr().err
+    lines = (tmp_path / "config.json").read_text(encoding="utf-8").splitlines()
+    line = 1 + next(i for i, text in enumerate(lines) if '"n_points"' in text)
+    where = "--grid-points" if override else f"line {line}: grid.n_points"
+    assert f"\n  {where}: 65536 needs about 320 GiB" in err
+    assert not out.exists()

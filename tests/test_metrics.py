@@ -421,28 +421,40 @@ def test_factored_schmidt_spectrum_matches_the_dense_oracle(model, lam, mu, n_po
     assert schmidt_mode_count(weights) == schmidt_mode_count(dense.weights)
 
 
+@pytest.mark.parametrize("lam, mu", [(0.1, 2.0), (2.0, 2.0)], ids=["wide_signal_band", "equal"])
+def test_factored_schmidt_spectrum_matches_the_dense_oracle_at_1024(lam, mu):
+    # lambda = 0.1 gives the signal kernel its highest rank: the longest pivot loop
+    pump, wg, filters, grid = _linear_setup(1.0, lam, mu, n_points=1024)
+    diag = jta_simple(pump, wg, grid)
+    dense = purity_schmidt(filtered_jta(diag, filters))
+    pm = compute_pair_metrics(diag, filters)
+    assert len(pm.schmidt_weights) == len(dense.weights)
+    assert np.max(np.abs(pm.schmidt_weights - dense.weights)) <= 1e-12
+    assert abs(pm.purity - dense.purity) <= 1e-12
+    assert schmidt_mode_count(pm.schmidt_weights) == schmidt_mode_count(dense.weights)
+
+
 def test_cached_kernel_factors_are_read_only():
     pump, wg, filters, grid = _linear_setup(0.1, 2.0, 2.0, n_points=64)
     compute_pair_metrics(jta_linear(pump, wg, grid), filters)
-    lam, q = sfwmsim.metrics._kernel_factor(grid, filters.signal)
+    p = sfwmsim.metrics._kernel_factor(grid, filters.signal)
     with pytest.raises(ValueError):
-        lam[0] = 0.0
-    with pytest.raises(ValueError):
-        q[0, 0] = 0.0
+        p[0, 0] = 0.0
 
 
 @pytest.mark.parametrize("n_points", [64, 512, 2048])
-@pytest.mark.parametrize("ratio", [0.5, 3.0])
+@pytest.mark.parametrize("ratio", [0.1, 0.5, 3.0])
 def test_half_size_kernel_factor_matches_the_dense_kernel(ratio, n_points):
+    # ratio 0.1 gives the highest rank; at N = 64 every pivot step runs
     pump = make_pump(phi_max=1.0)
     filt = filter_for_ratio(ratio, pump)
     grid = make_grid(pump, [filt], n_points=n_points)
-    lam, q = sfwmsim.metrics._kernel_factor(grid, filt)
+    p = sfwmsim.metrics._kernel_factor(grid, filt)
     tau = grid.tau
     sw = np.sqrt(grid.trapezoid_weights)
     dense = (sw[:, None] * gaussian_time_kernel(filt.sigma_f, tau[:, None] - tau[None, :])
              * sw[None, :])
-    assert np.max(np.abs(q.T @ q - np.eye(lam.size))) <= 1e-13
-    assert np.linalg.norm((q * lam) @ q.T - dense) <= 1e-13 * np.linalg.norm(dense)
+    assert np.linalg.norm(p @ p.T - dense @ dense) <= 1e-13 * np.linalg.norm(dense) ** 2
+    lam = np.sort(np.linalg.norm(p, axis=0))[::-1]
     full = np.linalg.eigvalsh(dense)[::-1][:lam.size]
-    assert np.max(np.abs(lam[::-1] - full)) <= 1e-14 * full[0]
+    assert np.max(np.abs(lam - full)) <= 1e-14 * full[0]

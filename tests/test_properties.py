@@ -4,14 +4,16 @@ unfiltered, eta and the heralded purity do not depend on any phase carried
 by the diagonal amplitude, and filtering only the signal or only the idler at
 the same bandwidth ratio gives the same numbers), agreement of the factored
 Schmidt spectrum with the dense filtered amplitude, signal/idler symmetry
-with both sides filtered, and eta proportional to phi^2 in the linear tier."""
+with both sides filtered, eta proportional to phi^2 in the linear tier, and
+unitarity of the time-to-frequency transform."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sfwmsim import (DiagonalJTA, FilterPair, FilterSpec, compute_pair_metrics,
-                     filtered_jta, gaussian_eta, jta_linear, jta_simple, jta_sinc,
+from sfwmsim import (DiagonalJTA, FilterPair, FilterSpec, JointAmplitudeMatrix,
+                     TemporalGrid, compute_pair_metrics, filtered_jta, gaussian_eta,
+                     jsa_to_jta, jta_linear, jta_simple, jta_sinc, jta_to_jsa,
                      purity_schmidt, schmidt_mode_count)
 from conftest import filter_for_ratio, make_filters, make_grid, make_pump, make_waveguide
 
@@ -53,7 +55,7 @@ def test_single_sided_metrics_ignore_any_diagonal_phase(lam, phi, coeffs,
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
-@given(lam=st.floats(0.5, 3.0), mu=st.floats(0.5, 3.0), phi=st.floats(0.05, 2.0),
+@given(lam=st.floats(0.1, 3.0), mu=st.floats(0.1, 3.0), phi=st.floats(0.05, 2.0),
        sides=st.sampled_from(["both", "signal_only", "idler_only"]),
        model=st.sampled_from([jta_linear, jta_simple, jta_sinc]),
        n_points=st.sampled_from([64, 128, 256]))
@@ -101,3 +103,27 @@ def test_eta_scales_as_phi_squared_in_the_linear_tier(lam, mu, phi, n_points):
     doubled = jta_linear(make_pump(phi_max=2.0 * phi), make_waveguide(), grid)
     assert compute_pair_metrics(doubled, filters).eta / eta == pytest.approx(4.0, rel=1e-12)
     assert eta == pytest.approx(gaussian_eta(phi, lam, mu), rel=1e-8)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(n_points=st.sampled_from([8, 16, 32, 64]), dt=st.floats(1e-3, 10.0),
+       log_scale=st.floats(-100.0, 100.0), seed=st.integers(0, 2 ** 32 - 1),
+       sparse=st.booleans())
+def test_jta_to_jsa_is_unitary(n_points, dt, log_scale, seed, sparse):
+    rng = np.random.default_rng(seed)
+    values = (rng.standard_normal((n_points, n_points))
+              + 1j * rng.standard_normal((n_points, n_points))) * 10.0 ** log_scale
+    if sparse:  # a few isolated samples, the least smooth amplitude there is
+        values *= rng.random((n_points, n_points)) < 0.1
+        values[rng.integers(n_points), rng.integers(n_points)] = 10.0 ** log_scale
+    grid = TemporalGrid(n_points, dt)
+    jta = JointAmplitudeMatrix(grid, grid, values)
+    jsa = jta_to_jsa(jta)
+    power_t = np.sum(np.abs(values) ** 2) * grid.dt ** 2
+    power_w = np.sum(np.abs(jsa.values) ** 2) * jsa.grid_s.d_omega * jsa.grid_i.d_omega
+    assert power_w == pytest.approx(power_t, rel=1e-12, abs=0.0)
+    back = jsa_to_jta(jsa)
+    assert back.grid_s.n_points == n_points
+    assert back.grid_s.dt == pytest.approx(dt, rel=1e-15)
+    scale = np.max(np.abs(values))
+    assert np.max(np.abs(back.values - values)) <= 1e-12 * scale
