@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -24,7 +25,7 @@ from .config import (MODEL_NAMES, SimulationConfig, _anchor, load_config,
 from .errors import AccuracyError, AccuracyWarning, ConfigError
 from .filtering import FilterPair, JointAmplitudeMatrix, filtered_jta
 from .grids import build_temporal_grid
-from .jta import DiagonalJTA, jta_general, jta_linear, jta_simple, jta_sinc
+from .jta import build_diagonal_jta
 from .metrics import (compute_pair_metrics, schmidt_mode_count,
                       validate_low_excitation)
 from .pump import check_free_carrier_regime, phi_max
@@ -35,19 +36,6 @@ _SWEEP_PARAMETERS = ("phi_max", "lambda", "mu", "sigma_t", "delta_beta0")
 # simulate refuses a grid whose dense N x N arrays would need more than this;
 # it admits N = 4096 (about 1.3 GB) and rejects N = 8192 (about 5.4 GB)
 _SIMULATE_MAX_BYTES = 4 * 2 ** 30
-
-
-def build_diagonal_jta(cfg: SimulationConfig, literal_z: bool = False) -> DiagonalJTA:
-    """Evaluate the configured model on the config's grid."""
-    if cfg.model == "linear":
-        return jta_linear(cfg.pump, cfg.waveguide, cfg.grid)
-    if cfg.model == "simple_sxpm":
-        return jta_simple(cfg.pump, cfg.waveguide, cfg.grid)
-    if cfg.model == "sinc":
-        return jta_sinc(cfg.pump, cfg.waveguide, cfg.grid)
-    if cfg.model == "general_quadrature":
-        return jta_general(cfg.pump, cfg.waveguide, cfg.grid, literal_z=literal_z)
-    raise ConfigError(f"model: unknown model {cfg.model!r}")
 
 
 def _coordinates(grid) -> np.ndarray:
@@ -124,7 +112,7 @@ def read_matrix_coords(path):
 
 def _evaluate(cfg: SimulationConfig, conjugated: bool, literal_z: bool):
     """Run the model + metrics pipeline; returns (diag, filters, metrics, warnings)."""
-    diag = build_diagonal_jta(cfg, literal_z=literal_z)
+    diag = build_diagonal_jta(cfg.model, cfg.pump, cfg.waveguide, cfg.grid, literal_z)
     filters = FilterPair(cfg.signal_filter, cfg.idler_filter)
     notes: list[str] = []
     with _warnings.catch_warnings(record=True) as caught:
@@ -415,6 +403,7 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--grid-points", type=int, default=None,

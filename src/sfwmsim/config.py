@@ -12,9 +12,8 @@ from .errors import ConfigError
 from .filtering import FilterSpec
 from .grids import (DEFAULT_N_POINTS, DEFAULT_SPAN_SIGMAS, TemporalGrid,
                     build_temporal_grid)
+from .jta import MODEL_NAMES, lossless_violation
 from .pump import Material, PumpPulse, Waveguide, nonlinear_parameter
-
-MODEL_NAMES = ("linear", "sinc", "simple_sxpm", "general_quadrature")
 
 _GAMMA_AGREEMENT_RTOL = 1e-6
 
@@ -63,8 +62,8 @@ def validate_config(cfg: SimulationConfig) -> list[str]:
         errors.append("waveguide.alpha: negative loss")
     if cfg.waveguide.alpha2_P < 0:
         errors.append("waveguide.alpha2_P: negative two-photon-absorption rate")
-    if not cfg.waveguide.is_lossless and cfg.model != "general_quadrature":
-        errors.append("model: lossy medium requires general_quadrature")
+    if (violation := lossless_violation(cfg.model, cfg.waveguide)) is not None:
+        errors.append(f"model: {violation}")
     if cfg.model not in MODEL_NAMES:
         errors.append(f"model: unknown model {cfg.model!r}")
     if not cfg.signal_filter.is_gaussian and not cfg.idler_filter.is_gaussian:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, ModelCompatibilityError
 from .grids import SpectralGrid, TemporalGrid
-from .jta import DiagonalJTA, _LOSSY_MSG
+from .jta import DiagonalJTA, lossless_violation
 from .pump import PumpPulse, Waveguide
 
 FILTER_SHAPES = ("gaussian", "none")
@@ -190,8 +190,8 @@ def filtered_jta_gaussian_series(pulse: PumpPulse, wg: Waveguide, filters: Filte
     """
     if not tol > 0:
         raise ConfigError(f"series tolerance must be positive, got {tol!r}")
-    if not wg.is_lossless:
-        raise ModelCompatibilityError(_LOSSY_MSG)
+    if (violation := lossless_violation("simple_sxpm", wg)) is not None:
+        raise ModelCompatibilityError(violation)
     lam, mu = _gaussian_ratios_or_raise(pulse, filters)
     sw = pulse.sigma_w
     phi = wg.gamma * wg.length * pulse.P0

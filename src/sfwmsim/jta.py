@@ -1,4 +1,4 @@
-"""Unfiltered diagonal two-time amplitude builders, one per model tier.
+"""Unfiltered diagonal two-time amplitude of each model tier, one builder for all.
 
 The diagonal amplitude JTA(tau) carries the full two-argument semantics
 JTA(tau_s, tau_i) = JTA(tau_s) * delta(tau_s - tau_i): the photons of a pair
@@ -19,8 +19,6 @@ from .pump import PumpPulse, Waveguide, nonlinear_phase, propagate_power, pump_p
 
 QUADRATURE_TOL = 1e-8
 QUADRATURE_ORDER = 64
-
-_LOSSY_MSG = "lossy medium requires general_quadrature"
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,44 +49,25 @@ class DiagonalJTA:
         return float(max(mags[0], mags[-1]) / peak)
 
 
-def _sinc(x: np.ndarray) -> np.ndarray:
-    # unnormalized sin(x)/x with sinc(0) = 1
-    return np.sinc(x / np.pi)
+# Each tier is a map of the input power p = P(0, tau); the closed forms are
+# lossless, so literal_z (which matters only under loss) does not enter them.
+
+def _linear_values(wg, p, literal_z):
+    return 1j * wg.gamma * wg.length * p
 
 
-def jta_linear(pulse: PumpPulse, wg: Waveguide, grid: TemporalGrid) -> DiagonalJTA:
-    """Weak-pump amplitude i*gamma*P(0,tau)*L: purely imaginary, no phase structure."""
-    p = pump_power_profile(pulse, grid.tau)
-    return DiagonalJTA(grid, 1j * wg.gamma * wg.length * p)
-
-
-def jta_simple(pulse: PumpPulse, wg: Waveguide, grid: TemporalGrid) -> DiagonalJTA:
-    """Phase-matched lossless amplitude with the pump-induced phase factor.
-
-    Same magnitude as the linear tier; each sample gains exp(3i gamma P L).
-    Any phase mismatch on the waveguide is treated as zero here.
-    """
-    if not wg.is_lossless:
-        raise ModelCompatibilityError(_LOSSY_MSG)
-    p = pump_power_profile(pulse, grid.tau)
+def _simple_values(wg, p, literal_z):
     phase = wg.gamma * wg.length * p
-    return DiagonalJTA(grid, 1j * phase * np.exp(3j * phase))
+    return 1j * phase * np.exp(3j * phase)
 
 
-def jta_sinc(pulse: PumpPulse, wg: Waveguide, grid: TemporalGrid) -> DiagonalJTA:
-    """Lossless amplitude with explicit phase-mismatch envelope.
-
-    i*gamma*P*L * exp(i(3 gamma P L + dbeta0 L / 2)) * sinc((dbeta0 - 2 gamma P) L / 2).
-    """
-    if not wg.is_lossless:
-        raise ModelCompatibilityError(_LOSSY_MSG)
-    p = pump_power_profile(pulse, grid.tau)
+def _sinc_values(wg, p, literal_z):
     gpl = wg.gamma * wg.length * p
     half_mismatch = (wg.delta_beta0 - 2.0 * wg.gamma * p) * wg.length / 2.0
-    values = (1j * gpl
-              * np.exp(1j * (3.0 * gpl + wg.delta_beta0 * wg.length / 2.0))
-              * _sinc(half_mismatch))
-    return DiagonalJTA(grid, values)
+    # np.sinc is normalized: this is the unnormalized sin(x)/x with sinc(0) = 1
+    return (1j * gpl
+            * np.exp(1j * (3.0 * gpl + wg.delta_beta0 * wg.length / 2.0))
+            * np.sinc(half_mismatch / np.pi))
 
 
 @functools.cache
@@ -103,17 +82,80 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _general_values(pulse, wg, tau, order, literal_z):
-    nodes, weights = _gauss_legendre(order)
-    z = (nodes + 1.0) * (wg.length / 2.0)
-    wz = weights * (wg.length / 2.0)
-    tau_col = tau[:, None]
-    p = propagate_power(pulse, wg, z[None, :], tau_col, literal_z=literal_z)
-    theta = nonlinear_phase(pulse, wg, z[None, :], tau_col)
-    theta_end = nonlinear_phase(pulse, wg, wg.length, tau)
-    integrand = p * np.exp(1j * wg.delta_beta0 * z[None, :] - 2j * theta)
-    integral = integrand @ wz
-    return 1j * wg.gamma * np.exp(4j * theta_end) * integral
+def _mirror(v: np.ndarray) -> np.ndarray:
+    """Extend samples 0 .. N/2 of a centred grid to all N: tau[N/2 + j] == -tau[N/2 - j]."""
+    return np.concatenate([v, v[-2:0:-1]])
+
+
+def _general_values(wg, p, literal_z):
+    p_col = p[:, None]
+    prefactor = 1j * wg.gamma * np.exp(4j * nonlinear_phase(p, wg, wg.length))
+    estimates = []
+    for order in (QUADRATURE_ORDER, 2 * QUADRATURE_ORDER):
+        nodes, weights = _gauss_legendre(order)
+        z = (nodes + 1.0) * (wg.length / 2.0)
+        wz = weights * (wg.length / 2.0)
+        pz = propagate_power(p_col, wg, z, literal_z=literal_z)
+        theta = nonlinear_phase(p_col, wg, z)
+        integrand = pz * np.exp(1j * wg.delta_beta0 * z - 2j * theta)
+        # the convergence check and the AccuracyError see full-grid estimates
+        estimates.append(_mirror(prefactor * (integrand @ wz)))
+    coarse, fine = estimates
+    norm = np.linalg.norm(fine)
+    change = np.linalg.norm(fine - coarse) / norm if norm > 0.0 else 0.0
+    if change > QUADRATURE_TOL:
+        raise AccuracyError(
+            f"quadrature not converged: relative change {change:.3e} between "
+            f"orders {QUADRATURE_ORDER} and {2 * QUADRATURE_ORDER} exceeds "
+            f"{QUADRATURE_TOL:.0e}",
+            coarse=coarse, fine=fine)
+    return fine[:len(p)]
+
+
+_TIERS = {"linear": _linear_values, "sinc": _sinc_values,
+          "simple_sxpm": _simple_values, "general_quadrature": _general_values}
+MODEL_NAMES = tuple(_TIERS)
+
+
+def lossless_violation(model: str, wg: Waveguide) -> str | None:
+    """Why ``model`` cannot run on ``wg``: only general_quadrature admits loss."""
+    if not wg.is_lossless and model != "general_quadrature":
+        return "lossy medium requires general_quadrature"
+    return None
+
+
+def build_diagonal_jta(model: str, pulse: PumpPulse, wg: Waveguide,
+                       grid: TemporalGrid, literal_z: bool = False) -> DiagonalJTA:
+    """Evaluate a model tier on the N/2 + 1 distinct powers P(0, tau) of the
+    centred grid and mirror the result onto the other half."""
+    if model not in _TIERS:
+        raise ConfigError(f"model: unknown model {model!r}")
+    if (violation := lossless_violation(model, wg)) is not None:
+        raise ModelCompatibilityError(violation)
+    p0 = pump_power_profile(pulse, grid.tau[:grid.n_points // 2 + 1])
+    return DiagonalJTA(grid, _mirror(_TIERS[model](wg, p0, literal_z)))
+
+
+def jta_linear(pulse: PumpPulse, wg: Waveguide, grid: TemporalGrid) -> DiagonalJTA:
+    """Weak-pump amplitude i*gamma*P(0,tau)*L: purely imaginary, no phase structure."""
+    return build_diagonal_jta("linear", pulse, wg, grid)
+
+
+def jta_simple(pulse: PumpPulse, wg: Waveguide, grid: TemporalGrid) -> DiagonalJTA:
+    """Phase-matched lossless amplitude with the pump-induced phase factor.
+
+    Same magnitude as the linear tier; each sample gains exp(3i gamma P L).
+    Any phase mismatch on the waveguide is treated as zero here.
+    """
+    return build_diagonal_jta("simple_sxpm", pulse, wg, grid)
+
+
+def jta_sinc(pulse: PumpPulse, wg: Waveguide, grid: TemporalGrid) -> DiagonalJTA:
+    """Lossless amplitude with explicit phase-mismatch envelope.
+
+    i*gamma*P*L * exp(i(3 gamma P L + dbeta0 L / 2)) * sinc((dbeta0 - 2 gamma P) L / 2).
+    """
+    return build_diagonal_jta("sinc", pulse, wg, grid)
 
 
 def jta_general(pulse: PumpPulse, wg: Waveguide, grid: TemporalGrid,
@@ -125,15 +167,4 @@ def jta_general(pulse: PumpPulse, wg: Waveguide, grid: TemporalGrid,
     is returned, and a relative change above 1e-8 between the two raises an
     AccuracyError carrying both estimates.
     """
-    tau = grid.tau
-    coarse = _general_values(pulse, wg, tau, QUADRATURE_ORDER, literal_z)
-    fine = _general_values(pulse, wg, tau, 2 * QUADRATURE_ORDER, literal_z)
-    norm = np.linalg.norm(fine)
-    change = np.linalg.norm(fine - coarse) / norm if norm > 0.0 else 0.0
-    if change > QUADRATURE_TOL:
-        raise AccuracyError(
-            f"quadrature not converged: relative change {change:.3e} between "
-            f"orders {QUADRATURE_ORDER} and {2 * QUADRATURE_ORDER} exceeds "
-            f"{QUADRATURE_TOL:.0e}",
-            coarse=coarse, fine=fine)
-    return DiagonalJTA(grid, fine)
+    return build_diagonal_jta("general_quadrature", pulse, wg, grid, literal_z)

@@ -107,29 +107,28 @@ def effective_length(alpha: float, z):
     return -np.expm1(-alpha * np.asarray(z, dtype=float)) / alpha
 
 
-def propagate_power(pulse: PumpPulse, wg: Waveguide, z, tau, literal_z: bool = False):
-    """Pump power after distance z with linear loss and two-photon absorption.
+def propagate_power(p0, wg: Waveguide, z, literal_z: bool = False):
+    """Pump power after distance z, with linear loss and two-photon absorption,
+    from the input power p0 = P(0, tau).
 
     The depletion denominator uses the effective length by default;
     ``literal_z=True`` selects the historical variant with the literal
     propagation distance instead (the two agree exactly when alpha == 0).
 
-    z and tau broadcast against each other.
+    p0 and z broadcast against each other.
     """
-    p0 = pump_power_profile(pulse, tau)
     z = np.asarray(z, dtype=float)
     zeta = z if literal_z else effective_length(wg.alpha, z)
     return p0 * np.exp(-wg.alpha * z) / (1.0 + wg.alpha2_P * p0 * zeta)
 
 
-def nonlinear_phase(pulse: PumpPulse, wg: Waveguide, z, tau):
-    """Accumulated self-phase of the pump, (gamma/alpha2) ln(1 + alpha2 P Z_eff).
+def nonlinear_phase(p0, wg: Waveguide, z):
+    """Accumulated self-phase of the pump, (gamma/alpha2) ln(1 + alpha2 p0 Z_eff).
 
-    Evaluated as gamma * P * Z_eff * ln(1+x)/x with a series branch for small
-    x, so the alpha2 -> 0 limit gamma*P*Z_eff is reached without cancellation.
-    z and tau broadcast against each other.
+    Evaluated as gamma * p0 * Z_eff * ln(1+x)/x with a series branch for small
+    x, so the alpha2 -> 0 limit gamma*p0*Z_eff is reached without cancellation.
+    p0 and z broadcast against each other.
     """
-    p0 = pump_power_profile(pulse, tau)
     zeff = effective_length(wg.alpha, z)
     x = wg.alpha2_P * p0 * zeff
     x = np.asarray(x, dtype=float)

@@ -298,10 +298,10 @@ def test_criterion_09_closed_form_limits(capsys):
     pump = make_pump(phi_max=1.0)
     wg0 = make_waveguide()
     tau = np.linspace(-3.0, 3.0, 25)
-    prop_err = np.abs(propagate_power(pump, wg0, 0.8, tau)
-                      - pump_power_profile(pump, tau)).max()
+    p0 = pump_power_profile(pump, tau)
+    prop_err = np.abs(propagate_power(p0, wg0, 0.8) - p0).max()
     len_err = abs(effective_length(0.0, 0.8) - 0.8)
-    phase_err = abs(nonlinear_phase(pump, wg0, 0.8, 0.0) - 0.8)
+    phase_err = abs(nonlinear_phase(pump.P0, wg0, 0.8) - 0.8)
     limits_err = max(prop_err, len_err, phase_err)
     ok = worst <= 1e-8 and limits_err <= 1e-12
     _announce(capsys, 9, ok,

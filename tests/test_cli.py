@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -244,7 +245,8 @@ def test_simulate_csv_files_match_the_reference_writer(tmp_path):
     out = tmp_path / "out"
     assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
     cfg = load_config(cfg_path)
-    matrix = filtered_jta(build_diagonal_jta(cfg),
+    diag = build_diagonal_jta(cfg.model, cfg.pump, cfg.waveguide, cfg.grid)
+    matrix = filtered_jta(diag,
                           FilterPair(cfg.signal_filter, cfg.idler_filter))
     jsa = jta_to_jsa(matrix)
     ref = tmp_path / "ref"
@@ -464,6 +466,30 @@ def test_sweep_csv_layout(tmp_path):
     assert float(lin[0]) == 0.1
     assert float(lin[2]) == pytest.approx(gaussian_eta(0.1, 2, 2), rel=1e-6)
     assert float(lin[4]) == pytest.approx(gaussian_nu(2, 2), rel=1e-3)
+
+
+def test_main_builds_the_argument_tree_once_per_process(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    sfwmsim.cli.build_parser.cache_clear()
+    try:
+        cfg = _write_config(tmp_path)
+        assert main(["validate", "--config", cfg]) == 0
+        assert built
+        tree = list(built)
+        sweep = _write_sweep(tmp_path, {"parameter": "phi_max", "values": [0.1],
+                                        "models": ["linear"]})
+        assert main(["sweep", "--config", cfg, "--sweep", sweep,
+                     "--out", str(tmp_path / "sweep.csv")]) == 0
+        assert built == tree
+    finally:
+        sfwmsim.cli.build_parser.cache_clear()
 
 
 def test_sweep_range_form(tmp_path):

@@ -6,9 +6,10 @@ from numpy.polynomial.legendre import leggauss
 
 import sfwmsim.jta
 
-from sfwmsim import (AccuracyError, ConfigError, DiagonalJTA,
+from sfwmsim import (MODEL_NAMES, AccuracyError, ConfigError, DiagonalJTA,
                      ModelCompatibilityError, TemporalGrid, jta_general,
-                     jta_linear, jta_simple, jta_sinc)
+                     jta_linear, jta_simple, jta_sinc, pump_power_profile)
+from sfwmsim.jta import build_diagonal_jta
 from conftest import make_grid, make_pump, make_waveguide
 
 SINC_HALF = math.sin(0.5) / 0.5  # 0.958851...
@@ -72,7 +73,7 @@ def test_sinc_phase_includes_half_mismatch():
     assert np.angle(snc.values[k0]) == pytest.approx(expected, abs=1e-12)
 
 
-@pytest.mark.parametrize("maker", [jta_simple, jta_sinc])
+@pytest.mark.parametrize("maker", [jta_linear, jta_simple, jta_sinc])
 def test_lossy_waveguide_rejected_by_closed_form_models(maker):
     pump = make_pump()
     grid = make_grid(pump, n_points=64)
@@ -128,9 +129,14 @@ def test_general_unconverged_quadrature_raises():
     grid = make_grid(pump, n_points=64)
     with pytest.raises(AccuracyError) as excinfo:
         jta_general(pump, wg, grid)
-    assert excinfo.value.coarse is not None
-    assert excinfo.value.fine is not None
-    assert excinfo.value.coarse.shape == (64,)
+    coarse, fine = excinfo.value.coarse, excinfo.value.fine
+    assert coarse.shape == fine.shape == (64,)
+    # full-grid estimates, mirrored about the zero sample, and the change is theirs
+    for estimate in (coarse, fine):
+        bits = estimate.view(np.uint64).reshape(-1, 2)
+        np.testing.assert_array_equal(bits[1:], bits[:0:-1])
+    change = np.linalg.norm(fine - coarse) / np.linalg.norm(fine)
+    assert f"relative change {change:.3e} between orders 64 and 128" in str(excinfo.value)
 
 
 def test_diagonal_jta_validation():
@@ -189,3 +195,57 @@ def test_edge_tail_ratio():
                                                    rel=1e-10)
     zero = DiagonalJTA(grid, np.zeros(128, dtype=complex))
     assert zero.edge_tail_ratio() == 0.0
+
+
+_MIRROR_CASES = {
+    "linear": ("linear", {}),
+    "sinc": ("sinc", {"delta_beta0": 2.5}),
+    "simple_sxpm": ("simple_sxpm", {}),
+    "general_lossless": ("general_quadrature", {"delta_beta0": 1.5}),
+    "general_lossy": ("general_quadrature",
+                      {"alpha": 0.2, "alpha2_P": 0.5, "delta_beta0": 1.5}),
+}
+
+
+def test_mirror_cases_cover_every_model():
+    assert {model for model, _ in _MIRROR_CASES.values()} == set(MODEL_NAMES)
+
+
+@pytest.mark.parametrize("literal_z", [False, True])
+@pytest.mark.parametrize("case", list(_MIRROR_CASES))
+@pytest.mark.parametrize("n_points", [64, 512, 2048])
+def test_builder_equals_the_tier_map_on_the_full_grid(n_points, case, literal_z):
+    """Evaluating on the N/2 + 1 distinct powers and mirroring changes no bit,
+    signed zeros included."""
+    model, wg_kwargs = _MIRROR_CASES[case]
+    pump = make_pump(phi_max=1.0)
+    wg = make_waveguide(**wg_kwargs)
+    grid = make_grid(pump, n_points=n_points)
+    got = build_diagonal_jta(model, pump, wg, grid, literal_z=literal_z).values
+    tier = sfwmsim.jta._TIERS[model]
+    want = tier(wg, pump_power_profile(pump, grid.tau), literal_z)
+    assert got.shape == want.shape == (n_points,)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("model", MODEL_NAMES)
+def test_each_tier_runs_once_on_the_distinct_powers(monkeypatch, model):
+    seen = []
+    tier = sfwmsim.jta._TIERS[model]
+
+    def recording(wg, p, literal_z):
+        seen.append(p.copy())
+        return tier(wg, p, literal_z)
+
+    monkeypatch.setitem(sfwmsim.jta._TIERS, model, recording)
+    pump = make_pump(phi_max=1.0)
+    grid = make_grid(pump, n_points=512)
+    build_diagonal_jta(model, pump, make_waveguide(), grid)
+    assert len(seen) == 1
+    np.testing.assert_array_equal(seen[0], pump_power_profile(pump, grid.tau[:257]))
+
+
+def test_builder_rejects_an_unknown_model():
+    pump = make_pump()
+    with pytest.raises(ConfigError, match="unknown model 'cubic'"):
+        build_diagonal_jta("cubic", pump, make_waveguide(), make_grid(pump, n_points=64))

@@ -31,37 +31,37 @@ def test_lossless_propagation_is_the_input_profile():
     pump = make_pump(phi_max=1.0)
     wg = make_waveguide()
     tau = np.linspace(-4.0, 4.0, 41)
-    np.testing.assert_allclose(propagate_power(pump, wg, 0.7, tau),
-                               pump_power_profile(pump, tau), rtol=0, atol=1e-12)
+    p0 = pump_power_profile(pump, tau)
+    np.testing.assert_allclose(propagate_power(p0, wg, 0.7), p0, rtol=0, atol=1e-12)
 
 
 def test_linear_loss_decay():
     pump = make_pump(phi_max=1.0)
     wg = make_waveguide(alpha=0.3)
-    assert propagate_power(pump, wg, 2.0, 0.0) == pytest.approx(math.exp(-0.6))
+    assert propagate_power(pump.P0, wg, 2.0) == pytest.approx(math.exp(-0.6))
 
 
 def test_tpa_saturation_at_the_peak():
     pump = make_pump(phi_max=1.0)
     wg = make_waveguide(alpha2_P=0.5)
     # P0 / (1 + alpha2 * P0 * z) with zeta -> z when alpha = 0
-    assert propagate_power(pump, wg, 2.0, 0.0) == pytest.approx(0.5)
+    assert propagate_power(pump.P0, wg, 2.0) == pytest.approx(0.5)
 
 
 def test_literal_z_matches_effective_length_when_lossless():
     pump = make_pump(phi_max=2.0)
     wg = make_waveguide(alpha2_P=0.7)
     tau = np.linspace(-3.0, 3.0, 13)
-    np.testing.assert_allclose(
-        propagate_power(pump, wg, 0.9, tau, literal_z=True),
-        propagate_power(pump, wg, 0.9, tau), rtol=0, atol=0)
+    p0 = pump_power_profile(pump, tau)
+    np.testing.assert_allclose(propagate_power(p0, wg, 0.9, literal_z=True),
+                               propagate_power(p0, wg, 0.9), rtol=0, atol=0)
 
 
 def test_literal_z_differs_under_loss():
     pump = make_pump(phi_max=2.0)
     wg = make_waveguide(alpha=0.4, alpha2_P=0.7)
-    a = float(propagate_power(pump, wg, 1.0, 0.0, literal_z=True))
-    b = float(propagate_power(pump, wg, 1.0, 0.0))
+    a = float(propagate_power(pump.P0, wg, 1.0, literal_z=True))
+    b = float(propagate_power(pump.P0, wg, 1.0))
     assert a != b
     assert a < b  # literal z overstates the depletion (z > Z_eff)
 
@@ -69,15 +69,15 @@ def test_literal_z_differs_under_loss():
 def test_nonlinear_phase_linear_growth_without_tpa():
     pump = make_pump(phi_max=0.8)
     wg = make_waveguide()
-    assert nonlinear_phase(pump, wg, 1.0, 0.0) == pytest.approx(0.8, rel=1e-14)
-    assert nonlinear_phase(pump, wg, 0.5, 0.0) == pytest.approx(0.4, rel=1e-14)
+    assert nonlinear_phase(pump.P0, wg, 1.0) == pytest.approx(0.8, rel=1e-14)
+    assert nonlinear_phase(pump.P0, wg, 0.5) == pytest.approx(0.4, rel=1e-14)
 
 
 def test_nonlinear_phase_tpa_logarithm():
     # gamma/alpha2 * ln(1 + alpha2 P z): with everything 1 this is ln 2
     pump = make_pump(phi_max=1.0)
     wg = make_waveguide(alpha2_P=1.0)
-    assert nonlinear_phase(pump, wg, 1.0, 0.0) == pytest.approx(math.log(2.0),
+    assert nonlinear_phase(pump.P0, wg, 1.0) == pytest.approx(math.log(2.0),
                                                                 rel=1e-14)
 
 
@@ -85,8 +85,8 @@ def test_nonlinear_phase_series_branch_is_continuous():
     pump = make_pump(phi_max=1.0)
     wg_zero = make_waveguide(alpha2_P=0.0)
     wg_tiny = make_waveguide(alpha2_P=1e-12)
-    a = nonlinear_phase(pump, wg_zero, 1.0, 0.0)
-    b = nonlinear_phase(pump, wg_tiny, 1.0, 0.0)
+    a = nonlinear_phase(pump.P0, wg_zero, 1.0)
+    b = nonlinear_phase(pump.P0, wg_tiny, 1.0)
     assert b == pytest.approx(a, rel=1e-12)
 
 
