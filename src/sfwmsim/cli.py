@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import (MODEL_NAMES, SimulationConfig, _anchor, load_config,
-                     number_error, read_json, validate_config)
+                     number_error, read_json, validate_config, violations_error)
 from .errors import AccuracyError, AccuracyWarning, ConfigError
 from .filtering import FilterPair, JointAmplitudeMatrix, filtered_jta
 from .grids import build_temporal_grid
@@ -32,6 +32,10 @@ from .pump import check_free_carrier_regime, phi_max
 from .spectral import jta_to_jsa, marginal_spectrum
 
 _SWEEP_PARAMETERS = ("phi_max", "lambda", "mu", "sigma_t", "delta_beta0")
+
+# a sweep spec may ask for at most this many (value, model) points, each of
+# which is built and validated before the first is evaluated
+_SWEEP_MAX_POINTS = 100_000
 
 # simulate refuses a grid whose dense N x N arrays would need more than this;
 # it admits N = 4096 (about 1.3 GB) and rejects N = 8192 (about 5.4 GB)
@@ -235,7 +239,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _load_sweep_spec(path):
-    raw, _ = read_json(path)
+    raw, text = read_json(path)
     if not isinstance(raw, dict):
         raise ConfigError("sweep root: expected a JSON object")
     errors = []
@@ -243,6 +247,9 @@ def _load_sweep_spec(path):
     if param not in _SWEEP_PARAMETERS:
         errors.append(f"sweep.parameter: expected one of {', '.join(_SWEEP_PARAMETERS)}, "
                       f"got {param!r}")
+    models = raw.get("models")
+    n_models = len(models) if isinstance(models, list) else 1
+    over_limit = f"x {n_models} models is over the limit of {_SWEEP_MAX_POINTS} points"
     has_values = "values" in raw
     has_range = any(k in raw for k in ("start", "stop", "count"))
     values: list[float] = []
@@ -252,6 +259,8 @@ def _load_sweep_spec(path):
         vs = raw["values"]
         if not isinstance(vs, list) or not vs:
             errors.append("sweep.values: expected a nonempty list of numbers")
+        elif len(vs) * n_models > _SWEEP_MAX_POINTS:
+            errors.append(f"sweep.values: {len(vs)} values {over_limit}")
         else:
             bad = [f"sweep.values[{i}]: {p}" for i, v in enumerate(vs)
                    if (p := number_error(v)) is not None]
@@ -269,6 +278,8 @@ def _load_sweep_spec(path):
             count = raw["count"]
             if not isinstance(count, int) or isinstance(count, bool) or count < 2:
                 errors.append("sweep.count: expected an integer >= 2")
+            elif count * n_models > _SWEEP_MAX_POINTS:
+                errors.append(f"sweep.count: {count} values {over_limit}")
             elif not bad:
                 values = list(np.linspace(float(raw["start"]),
                                           float(raw["stop"]), count))
@@ -276,7 +287,6 @@ def _load_sweep_spec(path):
         errors.append("sweep.values: missing (give values or start/stop/count)")
     if values and any(b <= a for a, b in zip(values, values[1:])):
         errors.append("sweep.values: must be strictly increasing")
-    models = raw.get("models")
     if models is None:
         errors.append("sweep.models: missing required value")
     elif (not isinstance(models, list) or not models
@@ -292,9 +302,7 @@ def _load_sweep_spec(path):
         if key not in {"parameter", "values", "start", "stop", "count", "models"}:
             errors.append(f"sweep.{key}: unknown key")
     if errors:
-        errors = sorted(errors)
-        raise ConfigError("invalid sweep:\n  " + "\n  ".join(errors),
-                          violations=errors)
+        raise violations_error("sweep", errors, text, root="sweep")
     return param, values, list(models)
 
 
@@ -332,10 +340,8 @@ def _sweep_variant(cfg: SimulationConfig, param: str, value: float,
     variant = dataclasses.replace(cfg, pump=pump, waveguide=wg,
                                   signal_filter=signal, idler_filter=idler,
                                   grid=grid, model=model)
-    violations = validate_config(variant)
-    if violations:
-        raise ConfigError("invalid configuration:\n  " + "\n  ".join(violations),
-                          violations=violations)
+    if violations := validate_config(variant):
+        raise violations_error("configuration", violations)
     return variant
 
 
@@ -359,7 +365,7 @@ def _cmd_sweep(args) -> int:
             errors += [f"sweep {param}={float(value)!r}, model {model!r}: {v}"
                        for v in exc.violations]
     if errors:
-        raise ConfigError("invalid sweep:\n  " + "\n  ".join(errors), violations=errors)
+        raise violations_error("sweep", errors)
 
     rows = []
     for value, model, variant in points:
@@ -450,12 +456,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        if exc.violations:
-            print("configuration invalid:", file=sys.stderr)
-            for violation in exc.violations:
-                print(f"  {violation}", file=sys.stderr)
-        else:
-            print(f"configuration invalid: {exc}", file=sys.stderr)
+        print("configuration invalid:", file=sys.stderr)
+        for violation in exc.violations:
+            print(f"  {violation}", file=sys.stderr)
         return 2
     except AccuracyError as exc:
         print(f"accuracy failure: {exc}", file=sys.stderr)

@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import re
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
@@ -16,6 +17,7 @@ from .jta import MODEL_NAMES, lossless_violation
 from .pump import Material, PumpPulse, Waveguide, nonlinear_parameter
 
 _GAMMA_AGREEMENT_RTOL = 1e-6
+_SECTIONS = ("material", "pump", "waveguide", "filters", "grid", "model", "regime_check")
 
 
 @dataclass(frozen=True)
@@ -69,12 +71,7 @@ def validate_config(cfg: SimulationConfig) -> list[str]:
     if not cfg.signal_filter.is_gaussian and not cfg.idler_filter.is_gaussian:
         errors.append("filters: both sides unfiltered; leave at least one gaussian filter")
     if cfg.material is not None:
-        if not cfg.material.n2 > 0:
-            errors.append("material.n2: must be positive")
-        if not cfg.material.lambda_pump > 0:
-            errors.append("material.lambda_pump: must be positive")
-        if not cfg.material.A_eff > 0:
-            errors.append("material.A_eff: must be positive")
+        errors.extend(_material_violations(cfg.material))
     if cfg.regime_check is not None:
         rc = cfg.regime_check
         if not rc.photon_energy > 0:
@@ -99,79 +96,143 @@ def number_error(val) -> str | None:
 
 def _line_of(text: str, section: str, key: str | None = None) -> int | None:
     """Best-effort line number of a config key, for anchored messages."""
-    start = text.find(f'"{section}"')
-    if start < 0:
-        return None
-    if key is not None:
-        idx = text.find(f'"{key}"', start)
-        if idx < 0:
-            return None
-    else:
-        idx = start
-    return text.count("\n", 0, idx) + 1
+    idx = text.find(f'"{section}"')
+    if idx >= 0 and key is not None:
+        idx = text.find(f'"{key}"', idx)
+    return None if idx < 0 else text.count("\n", 0, idx) + 1
 
 
-def _anchor(text: str, message: str) -> str:
-    """Prefix ``line N:`` to a ``section.key: detail`` style message when possible."""
+def _anchor(text: str, message: str, root: str = "") -> str:
+    """Prefix ``line N:`` to a ``section.key: detail`` style message when possible.
+
+    Paths under ``root`` name keys at the top level of ``text`` (a sweep
+    file's), and an index (``values[1]``) anchors to its list's key.
+    """
     path = message.split(":", 1)[0]
+    if root:
+        path = re.sub(r"\[\d+\]", "", path.removeprefix(root + "."))
     parts = path.split(".")
     line = _line_of(text, parts[0], parts[1] if len(parts) > 1 else None)
     return f"line {line}: {message}" if line is not None else message
 
 
-class _SectionReader:
-    """Pulls typed values out of one JSON object, collecting errors."""
-
-    def __init__(self, name: str, data: dict, errors: list[str]):
-        self.name = name
-        self.data = data
-        self.errors = errors
-        self.seen: set[str] = set()
-
-    def number(self, key: str, required: bool = False, default=None):
-        self.seen.add(key)
-        if key not in self.data:
-            if required:
-                self.errors.append(f"{self.name}.{key}: missing required value")
-            return default
-        val = self.data[key]
-        problem = number_error(val)
-        if problem is not None:
-            self.errors.append(f"{self.name}.{key}: {problem}")
-            return default
-        return float(val)
-
-    def string(self, key: str, required: bool = False, default=None):
-        self.seen.add(key)
-        if key not in self.data:
-            if required:
-                self.errors.append(f"{self.name}.{key}: missing required value")
-            return default
-        val = self.data[key]
-        if not isinstance(val, str):
-            self.errors.append(f"{self.name}.{key}: expected a string, got {val!r}")
-            return default
-        return val
-
-    def finish(self):
-        for key in self.data:
-            if key not in self.seen:
-                self.errors.append(f"{self.name}.{key}: unknown key")
+def violations_error(kind: str, violations: list[str], text: str | None = None,
+                     root: str = "") -> ConfigError:
+    """A ConfigError listing every violation of an input; given the input's
+    ``text``, they are line-anchored and sorted, else kept in order."""
+    if text is not None:
+        violations = sorted(_anchor(text, v, root) for v in violations)
+    return ConfigError(f"invalid {kind}:\n  " + "\n  ".join(violations),
+                       violations=violations)
 
 
-def _read_filter(section: str, data, errors: list[str]) -> FilterSpec:
-    if not isinstance(data, dict):
-        errors.append(f"{section}: expected an object")
-        return FilterSpec.unfiltered()
-    reader = _SectionReader(section, data, errors)
-    shape = reader.string("shape", default="gaussian")
-    sigma_f = reader.number("sigma_f")
-    reader.finish()
+def _object_error(val) -> str | None:
+    return None if isinstance(val, dict) else "expected an object"
+
+
+def _string_error(val) -> str | None:
+    return None if isinstance(val, str) else f"expected a string, got {val!r}"
+
+
+def _model_error(val) -> str | None:
+    if (why := _string_error(val)) is None and val not in MODEL_NAMES:
+        why = f"unknown model {val!r} (choose from {', '.join(MODEL_NAMES)})"
+    return why
+
+
+def _value(raw: dict, path: str, errors: list[str], problem=number_error,
+           required: bool = False, what: str = "value"):
+    """The value at the last part of the dotted ``path`` in ``raw``, or None
+    after recording why it is missing or why ``problem`` rejects it."""
+    key = path.rpartition(".")[2]
+    if key not in raw:
+        if required:
+            errors.append(f"{path}: missing required {what}")
+        return None
+    if (why := problem(raw[key])) is not None:
+        errors.append(f"{path}: {why}")
+        return None
+    return raw[key]
+
+
+def _section(raw: dict, name: str, errors: list[str], required: bool = False):
+    """The object at ``name`` in ``raw``; a top-level one is a config section."""
+    return _value(raw, name, errors, _object_error, required,
+                  what="value" if "." in name else "section")
+
+
+def _unknown_keys(name: str, data: dict, known) -> list[str]:
+    return [f"{name}.{key}: unknown key" for key in data if key not in known]
+
+
+def _read_fields(cls, raw: dict, name: str, errors: list[str], required: bool = False,
+                 **given):
+    """A ``cls`` read from section ``name`` of ``raw``, one number per field.
+
+    A field without a default is required and a defaulted one keeps its
+    default when absent or unusable; fields in ``given`` are read by the
+    caller. None, with the reasons in ``errors``, when the section is absent
+    or not an object or a required value is missing or unusable.
+    """
+    data = _section(raw, name, errors, required)
+    if data is None:
+        return None
+    errors.extend(_unknown_keys(name, data, [field.name for field in fields(cls)]))
+    kwargs = dict(given)
+    for field in fields(cls):
+        if field.name not in given:
+            value = _value(data, f"{name}.{field.name}", errors,
+                           required=field.default is MISSING)
+            if value is not None or field.default is MISSING:
+                kwargs[field.name] = None if value is None else float(value)
+    return None if None in kwargs.values() else cls(**kwargs)
+
+
+@dataclass(frozen=True)
+class _GridSection:
+    n_points: float = DEFAULT_N_POINTS
+    span_sigmas: float = DEFAULT_SPAN_SIGMAS
+
+
+def _material_violations(material: Material) -> list[str]:
+    return [f"material.{field.name}: must be positive" for field in fields(material)
+            if not getattr(material, field.name) > 0]
+
+
+def _resolve_gamma(raw: dict, material: Material | None,
+                   errors: list[str]) -> float | None:
+    """The waveguide's gamma as given or derived from ``material``, or None
+    after recording why neither is usable."""
+    gamma = _value(raw["waveguide"], "waveguide.gamma", errors)
+    problems = [] if material is None else _material_violations(material)
+    derived = None if material is None or problems else nonlinear_parameter(material)
+    if "gamma" in raw["waveguide"]:
+        if None not in (gamma, derived) and not math.isclose(
+                gamma, derived, rel_tol=_GAMMA_AGREEMENT_RTOL):
+            errors.append(f"waveguide.gamma: {float(gamma)!r} conflicts with the "
+                          f"material-derived value {derived!r}")
+        return None if gamma is None else float(gamma)
+    if "material" not in raw:
+        errors.append("waveguide.gamma: missing (provide gamma or a material section)")
+    errors.extend(problems)  # a material section that cannot give gamma says why
+    return derived
+
+
+def _read_filter(filters: dict, name: str, errors: list[str]) -> FilterSpec | None:
+    data = _section(filters, name, errors, required=True)
+    if data is None:
+        return None
+    errors.extend(_unknown_keys(name, data, ("shape", "sigma_f")))
+    shape = _value(data, f"{name}.shape", errors, _string_error)
+    sigma_f = _value(data, f"{name}.sigma_f", errors)
+    if sigma_f is None and "sigma_f" in data:
+        return None
     try:
-        return FilterSpec(sigma_f=sigma_f, shape=shape)
+        return FilterSpec(sigma_f=None if sigma_f is None else float(sigma_f),
+                          shape="gaussian" if shape is None else shape)
     except ConfigError as exc:
-        errors.append(f"{section}: {exc}")
-        return FilterSpec.unfiltered()
+        errors.append(f"{name}: {exc}")
+        return None
 
 
 def config_from_dict(raw: dict, text: str = "",
@@ -180,166 +241,63 @@ def config_from_dict(raw: dict, text: str = "",
     """Build and validate a SimulationConfig from parsed JSON.
 
     Collects every schema and semantic problem before raising, so a single
-    round trip reports all of them. ``grid_points`` / ``span_sigmas``
-    override the grid section (command-line overrides).
+    round trip reports each of them once; the semantic checks wait until every
+    section has been read. ``grid_points`` / ``span_sigmas`` override the grid
+    section (command-line overrides), and their violations name the flag.
     """
-    errors: list[str] = []
     if not isinstance(raw, dict):
         raise ConfigError("config root: expected a JSON object")
+    errors = [f"{key}: unknown section" for key in raw if key not in _SECTIONS]
 
-    known = {"material", "pump", "waveguide", "filters", "grid", "model", "regime_check"}
-    for key in raw:
-        if key not in known:
-            errors.append(f"{key}: unknown section")
+    pump = _read_fields(PumpPulse, raw, "pump", errors, required=True)
+    material = _read_fields(Material, raw, "material", errors)
+    regime = _read_fields(RegimeCheckSpec, raw, "regime_check", errors)
+    gamma = (_resolve_gamma(raw, material, errors)
+             if isinstance(raw.get("waveguide"), dict) else None)
+    waveguide = _read_fields(Waveguide, raw, "waveguide", errors, required=True,
+                             gamma=gamma)
 
-    pump = None
-    if "pump" not in raw:
-        errors.append("pump: missing required section")
-    elif not isinstance(raw["pump"], dict):
-        errors.append("pump: expected an object")
-    else:
-        rd = _SectionReader("pump", raw["pump"], errors)
-        p0 = rd.number("P0", required=True)
-        sigma_t = rd.number("sigma_t", required=True)
-        rd.finish()
-        if p0 is not None and sigma_t is not None:
-            pump = PumpPulse(P0=p0, sigma_t=sigma_t)
+    signal_filter = idler_filter = None
+    if (filters := _section(raw, "filters", errors, required=True)) is not None:
+        errors.extend(_unknown_keys("filters", filters, ("signal", "idler")))
+        signal_filter = _read_filter(filters, "filters.signal", errors)
+        idler_filter = (_read_filter(filters, "filters.idler", errors)
+                        if "idler" in filters else FilterSpec.unfiltered())
 
-    material = None
-    if "material" in raw:
-        if not isinstance(raw["material"], dict):
-            errors.append("material: expected an object")
-        else:
-            rd = _SectionReader("material", raw["material"], errors)
-            n2 = rd.number("n2", required=True)
-            lam_p = rd.number("lambda_pump", required=True)
-            a_eff = rd.number("A_eff", required=True)
-            rd.finish()
-            if None not in (n2, lam_p, a_eff):
-                material = Material(n2=n2, lambda_pump=lam_p, A_eff=a_eff)
+    grid_section = _read_fields(_GridSection, raw, "grid", errors) or _GridSection()
+    n_points = int(grid_section.n_points)
+    if n_points != grid_section.n_points:
+        errors.append(f"grid.n_points: expected an integer, got {grid_section.n_points!r}")
+        n_points = DEFAULT_N_POINTS
+    n_points = n_points if grid_points is None else grid_points
+    span = grid_section.span_sigmas if span_sigmas is None else span_sigmas
 
-    waveguide = None
-    if "waveguide" not in raw:
-        errors.append("waveguide: missing required section")
-    elif not isinstance(raw["waveguide"], dict):
-        errors.append("waveguide: expected an object")
-    else:
-        rd = _SectionReader("waveguide", raw["waveguide"], errors)
-        gamma = rd.number("gamma")
-        length = rd.number("length", required=True)
-        delta_beta0 = rd.number("delta_beta0", default=0.0)
-        alpha = rd.number("alpha", default=0.0)
-        alpha2_p = rd.number("alpha2_P", default=0.0)
-        beta1 = rd.number("beta1", default=0.0)
-        rd.finish()
-        derived = None
-        if material is not None and material.n2 > 0 and material.lambda_pump > 0 \
-                and material.A_eff > 0:
-            derived = nonlinear_parameter(material)
-        if gamma is None:
-            if derived is None:
-                errors.append(
-                    "waveguide.gamma: missing (provide gamma or a material section)")
-            gamma = derived
-        elif derived is not None and not math.isclose(gamma, derived,
-                                                      rel_tol=_GAMMA_AGREEMENT_RTOL):
-            errors.append(
-                f"waveguide.gamma: {gamma!r} conflicts with the material-derived "
-                f"value {derived!r}")
-        if length is not None and gamma is not None:
-            waveguide = Waveguide(gamma=gamma, length=length, delta_beta0=delta_beta0,
-                                  alpha=alpha, alpha2_P=alpha2_p, beta1=beta1)
+    model = _value(raw, "model", errors, _model_error, required=True)
 
-    if "filters" not in raw:
-        errors.append("filters: missing required section")
-        signal_filter = idler_filter = FilterSpec.unfiltered()
-    elif not isinstance(raw["filters"], dict):
-        errors.append("filters: expected an object")
-        signal_filter = idler_filter = FilterSpec.unfiltered()
-    else:
-        fsec = raw["filters"]
-        for key in fsec:
-            if key not in ("signal", "idler"):
-                errors.append(f"filters.{key}: unknown key")
-        if "signal" not in fsec:
-            errors.append("filters.signal: missing required value")
-            signal_filter = FilterSpec.unfiltered()
-        else:
-            signal_filter = _read_filter("filters.signal", fsec["signal"], errors)
-        idler_filter = (_read_filter("filters.idler", fsec["idler"], errors)
-                        if "idler" in fsec else FilterSpec.unfiltered())
-
-    n_points = DEFAULT_N_POINTS
-    span = DEFAULT_SPAN_SIGMAS
-    if "grid" in raw:
-        if not isinstance(raw["grid"], dict):
-            errors.append("grid: expected an object")
-        else:
-            rd = _SectionReader("grid", raw["grid"], errors)
-            np_val = rd.number("n_points")
-            sp_val = rd.number("span_sigmas")
-            rd.finish()
-            if np_val is not None:
-                if np_val != int(np_val):
-                    errors.append(f"grid.n_points: expected an integer, got {np_val!r}")
-                else:
-                    n_points = int(np_val)
-            if sp_val is not None:
-                span = sp_val
-    if grid_points is not None:
-        n_points = grid_points
-    if span_sigmas is not None:
-        span = span_sigmas
-
-    model = None
-    if "model" not in raw:
-        errors.append("model: missing required value")
-    elif not isinstance(raw["model"], str):
-        errors.append(f"model: expected a string, got {raw['model']!r}")
-    elif raw["model"] not in MODEL_NAMES:
-        errors.append(f"model: unknown model {raw['model']!r} "
-                      f"(choose from {', '.join(MODEL_NAMES)})")
-    else:
-        model = raw["model"]
-
-    regime = None
-    if "regime_check" in raw:
-        if not isinstance(raw["regime_check"], dict):
-            errors.append("regime_check: expected an object")
-        else:
-            rd = _SectionReader("regime_check", raw["regime_check"], errors)
-            pe = rd.number("photon_energy", required=True)
-            sf = rd.number("sigma_FCA", required=True)
-            t0 = rd.number("T0", required=True)
-            i0 = rd.number("I0", required=True)
-            thr = rd.number("threshold", default=10.0)
-            rd.finish()
-            if None not in (pe, sf, t0, i0):
-                regime = RegimeCheckSpec(photon_energy=pe, sigma_FCA=sf, T0=t0,
-                                         I0=i0, threshold=thr)
-
+    # the grid is sized by the pulse width; validate_config, which reads no
+    # grid, reports a nonpositive one
     grid = None
     if pump is not None and pump.sigma_t > 0:
         try:
             grid = build_temporal_grid(pump, [signal_filter, idler_filter],
                                        span_sigmas=span, n_points=n_points)
         except ConfigError as exc:
-            errors.append(str(exc))
+            message = str(exc)
+            for flag, path, value in (("--grid-points", "grid.n_points", grid_points),
+                                      ("--span-sigmas", "grid.span_sigmas", span_sigmas)):
+                if value is not None and message.startswith(path + ":"):
+                    message = flag + message[len(path):]
+            errors.append(message)
 
-    if pump is None or waveguide is None or model is None or grid is None:
-        anchored = sorted(_anchor(text, e) for e in errors)
-        raise ConfigError("invalid configuration:\n  " + "\n  ".join(anchored),
-                          violations=anchored)
-
-    cfg = SimulationConfig(pump=pump, waveguide=waveguide,
-                           signal_filter=signal_filter, idler_filter=idler_filter,
-                           grid=grid, model=model, span_sigmas=span,
-                           material=material, regime_check=regime)
-    errors.extend(validate_config(cfg))
+    cfg = None
+    if None not in (pump, waveguide, signal_filter, idler_filter, model):
+        cfg = SimulationConfig(pump=pump, waveguide=waveguide,
+                               signal_filter=signal_filter, idler_filter=idler_filter,
+                               grid=grid, model=model, span_sigmas=span,
+                               material=material, regime_check=regime)
+        errors.extend(validate_config(cfg))
     if errors:
-        anchored = sorted(_anchor(text, e) for e in errors)
-        raise ConfigError("invalid configuration:\n  " + "\n  ".join(anchored),
-                          violations=anchored)
+        raise violations_error("configuration", errors, text)
     return cfg
 
 

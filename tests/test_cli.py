@@ -308,7 +308,9 @@ def test_non_finite_config_number_rejected(tmp_path, capsys, command, value):
 def test_non_finite_span_sigmas_flag_rejected(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     assert main(["validate", "--config", cfg, "--span-sigmas", "inf"]) == 2
-    assert "grid.span_sigmas: expected a finite number, got inf" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--span-sigmas: expected a finite number, got inf" in err
+    assert "grid.span_sigmas" not in err
 
 
 def test_accuracy_failure_exit_code(tmp_path, capsys):
@@ -581,8 +583,39 @@ def test_sweep_rejects_bad_numbers(tmp_path, capsys, spec, message):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", cfg, "--sweep", str(sweep),
                  "--out", str(out)]) == 2
-    assert message in capsys.readouterr().err
+    key = message.split(":")[0].removeprefix("sweep.").split("[")[0]
+    lines = (tmp_path / "sweep.json").read_text().splitlines()
+    line = 1 + next(i for i, text in enumerate(lines) if f'"{key}"' in text)
+    assert f"line {line}: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("limit, spec, message", [
+    (None, {"start": 0.0, "stop": 1.0, "count": 50_001},
+     "sweep.count: 50001 values x 2 models is over the limit of 100000 points"),
+    (3, {"start": 0.0, "stop": 1.0, "count": 2},
+     "sweep.count: 2 values x 2 models is over the limit of 3 points"),
+    (3, {"values": [0.1, 0.2]}, "sweep.values: 2 values x 2 models is over the limit of 3 points"),
+])
+def test_sweep_rejects_too_many_points_before_building_any(tmp_path, capsys, monkeypatch,
+                                                           limit, spec, message):
+    monkeypatch.setattr(sfwmsim.cli, "_sweep_variant", _unreachable)
+    if limit is not None:
+        monkeypatch.setattr(sfwmsim.cli, "_SWEEP_MAX_POINTS", limit)
+    cfg = _write_config(tmp_path)
+    sweep = _write_sweep(tmp_path, {"parameter": "phi_max", **spec,
+                                    "models": ["linear", "sinc"]})
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", cfg, "--sweep", sweep, "--out", str(out)]) == 2
+    key = message.split(":")[0].removeprefix("sweep.")
+    lines = (tmp_path / "sweep.json").read_text().splitlines()
+    line = 1 + next(i for i, text in enumerate(lines) if f'"{key}"' in text)
+    assert capsys.readouterr().err == f"configuration invalid:\n  line {line}: {message}\n"
+    assert not out.exists()
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("a sweep point was built")
 
 
 def test_sweep_lambda_requires_positive_values(tmp_path, capsys):

@@ -214,3 +214,22 @@ def test_config_from_dict_without_text():
     assert cfg.model == "linear"
     with pytest.raises(ConfigError):
         config_from_dict([1, 2, 3])
+
+
+@pytest.mark.parametrize("edit, key, violation", [
+    ({"waveguide": {"gamma": "x", "length": 1.0}},
+     "gamma", "waveguide.gamma: expected a number, got 'x'"),
+    ({"filters": 3}, "filters", "filters: expected an object"),
+    ({"filters": {"signal": {"shape": "gaussian", "sigma_f": "a"}}},
+     "signal", "filters.signal.sigma_f: expected a number, got 'a'"),
+    ({"waveguide": {"length": 1.0},
+      "material": {"n2": -1.0, "lambda_pump": 1.55e-6, "A_eff": 2e-13}},
+     "n2", "material.n2: must be positive"),
+])
+def test_each_bad_value_is_reported_once_under_its_own_key(tmp_path, edit, key, violation):
+    path = _write(tmp_path, {**_base_raw(), **edit})
+    lines = path.read_text().splitlines()
+    line = 1 + next(i for i, text in enumerate(lines) if f'"{key}"' in text)
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(path)
+    assert excinfo.value.violations == [f"line {line}: {violation}"]
