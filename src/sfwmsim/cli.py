@@ -14,27 +14,40 @@ import functools
 import itertools
 import json
 import math
+import operator
 import sys
 import warnings as _warnings
 from pathlib import Path
 
 import numpy as np
 
-from .config import (MODEL_NAMES, SimulationConfig, _anchor, load_config,
-                     number_error, read_json, validate_config, violations_error)
+from .config import (SimulationConfig, _anchor, _model_error, _unknown_keys, _value,
+                     load_config, number_error, read_json, violations_error)
 from .errors import AccuracyError, AccuracyWarning, ConfigError
-from .filtering import FilterPair, JointAmplitudeMatrix, filtered_jta
+from .filtering import FilterPair, FilterSpec, JointAmplitudeMatrix, filtered_jta
 from .grids import build_temporal_grid
-from .jta import build_diagonal_jta
+from .jta import build_diagonal_jta, lossless_violation
 from .metrics import (compute_pair_metrics, schmidt_mode_count,
                       validate_low_excitation)
 from .pump import check_free_carrier_regime, phi_max
 from .spectral import jta_to_jsa, marginal_spectrum
 
-_SWEEP_PARAMETERS = ("phi_max", "lambda", "mu", "sigma_t", "delta_beta0")
+# per swept parameter, the config fields that one value replaces
+_SWEEP_FIELDS = {
+    "phi_max": lambda cfg, v: {"pump": dataclasses.replace(
+        cfg.pump, P0=v / (cfg.waveguide.gamma * cfg.waveguide.length))},
+    "lambda": lambda cfg, v: {"signal_filter": FilterSpec(cfg.pump.sigma_w / v)},
+    "mu": lambda cfg, v: {"idler_filter": FilterSpec(cfg.pump.sigma_w / v)},
+    "sigma_t": lambda cfg, v: {"pump": dataclasses.replace(cfg.pump, sigma_t=v)},
+    "delta_beta0": lambda cfg, v: {"waveguide": dataclasses.replace(
+        cfg.waveguide, delta_beta0=v)},
+}
+# the bound on each swept value that keeps every point a valid config
+_SWEEP_BOUNDS = {"phi_max": (operator.ge, "nonnegative"),
+                 **dict.fromkeys(("lambda", "mu", "sigma_t"), (operator.gt, "positive"))}
+_RANGE_KEYS = ("start", "stop", "count")
 
-# a sweep spec may ask for at most this many (value, model) points, each of
-# which is built and validated before the first is evaluated
+# a sweep spec may ask for at most this many (value, model) points
 _SWEEP_MAX_POINTS = 100_000
 
 # simulate refuses a grid whose dense N x N arrays would need more than this;
@@ -238,117 +251,104 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _load_sweep_spec(path):
+def _load_sweep_spec(path, cfg: SimulationConfig):
+    """Read a sweep spec as (parameter, values, models), checked against the
+    loaded ``cfg`` so that every point it asks for is a valid config.
+
+    Each problem is reported once, at the line of its key.
+    """
     raw, text = read_json(path)
     if not isinstance(raw, dict):
         raise ConfigError("sweep root: expected a JSON object")
-    errors = []
-    param = raw.get("parameter")
-    if param not in _SWEEP_PARAMETERS:
-        errors.append(f"sweep.parameter: expected one of {', '.join(_SWEEP_PARAMETERS)}, "
-                      f"got {param!r}")
-    models = raw.get("models")
-    n_models = len(models) if isinstance(models, list) else 1
+    errors = _unknown_keys("sweep", raw, ("parameter", "values", *_RANGE_KEYS, "models"))
+    param = _value(raw, "sweep.parameter", errors, _parameter_error, required=True)
+    if param == "phi_max" and not cfg.waveguide.gamma * cfg.waveguide.length > 0:
+        errors.append("sweep.parameter: sweep over phi_max needs gamma * length > 0")
+
+    models = _value(raw, "sweep.models", errors, _models_error, required=True) or []
+    for model in dict.fromkeys(models):  # each name once, however often listed
+        if _model_error(model) is not None:
+            errors.append(f"sweep.models: unknown model {model!r}")
+        elif models.count(model) > 1:
+            errors.append(f"sweep.models: duplicate model {model!r}")
+        elif (why := lossless_violation(model, cfg.waveguide)) is not None:
+            errors.append(f"sweep.models: model {model!r}: {why}")
+
+    n_models = len(raw["models"]) if isinstance(raw.get("models"), list) else 1
     over_limit = f"x {n_models} models is over the limit of {_SWEEP_MAX_POINTS} points"
-    has_values = "values" in raw
-    has_range = any(k in raw for k in ("start", "stop", "count"))
-    values: list[float] = []
-    if has_values and has_range:
+    values, bounded = [], []  # bounded: the (value, key) pairs the bound applies to
+    if "values" in raw and any(k in raw for k in _RANGE_KEYS):
         errors.append("sweep.values: give either values or start/stop/count, not both")
-    elif has_values:
-        vs = raw["values"]
-        if not isinstance(vs, list) or not vs:
-            errors.append("sweep.values: expected a nonempty list of numbers")
-        elif len(vs) * n_models > _SWEEP_MAX_POINTS:
+    elif "values" in raw:
+        vs = _value(raw, "sweep.values", errors, _values_error)
+        if vs is not None and len(vs) * n_models > _SWEEP_MAX_POINTS:
             errors.append(f"sweep.values: {len(vs)} values {over_limit}")
-        else:
+        elif vs is not None:
             bad = [f"sweep.values[{i}]: {p}" for i, v in enumerate(vs)
                    if (p := number_error(v)) is not None]
             errors += bad
             if not bad:
                 values = [float(v) for v in vs]
-    elif has_range:
-        missing = [k for k in ("start", "stop", "count") if k not in raw]
-        if missing:
-            errors.append(f"sweep.{missing[0]}: missing required value")
-        else:
-            bad = [f"sweep.{k}: {p}" for k in ("start", "stop")
-                   if (p := number_error(raw[k])) is not None]
-            errors += bad
-            count = raw["count"]
-            if not isinstance(count, int) or isinstance(count, bool) or count < 2:
-                errors.append("sweep.count: expected an integer >= 2")
-            elif count * n_models > _SWEEP_MAX_POINTS:
-                errors.append(f"sweep.count: {count} values {over_limit}")
-            elif not bad:
-                values = list(np.linspace(float(raw["start"]),
-                                          float(raw["stop"]), count))
+                bounded = [(v, f"values[{i}]") for i, v in enumerate(values)]
+    elif any(k in raw for k in _RANGE_KEYS):
+        start, stop = (_value(raw, f"sweep.{k}", errors, required=True)
+                       for k in ("start", "stop"))
+        count = _value(raw, "sweep.count", errors, _count_error, required=True)
+        if count is not None and count * n_models > _SWEEP_MAX_POINTS:
+            errors.append(f"sweep.count: {count} values {over_limit}")
+        elif None not in (start, stop, count):
+            values = list(np.linspace(float(start), float(stop), count))
+            # the lower end of the range, which is its start when it increases
+            bounded = [min((float(start), "start"), (float(stop), "stop"))]
     else:
         errors.append("sweep.values: missing (give values or start/stop/count)")
-    if values and any(b <= a for a, b in zip(values, values[1:])):
-        errors.append("sweep.values: must be strictly increasing")
-    if models is None:
-        errors.append("sweep.models: missing required value")
-    elif (not isinstance(models, list) or not models
-          or not all(isinstance(m, str) for m in models)):
-        errors.append("sweep.models: expected a nonempty list of model names")
-    else:
-        for i, m in enumerate(models):
-            if m not in MODEL_NAMES:
-                errors.append(f"sweep.models: unknown model {m!r}")
-            elif m in models[:i]:
-                errors.append(f"sweep.models: duplicate model {m!r}")
-    for key in raw:
-        if key not in {"parameter", "values", "start", "stop", "count", "models"}:
-            errors.append(f"sweep.{key}: unknown key")
+    if any(b <= a for a, b in zip(values, values[1:])):
+        errors.append("sweep.values: must be strictly increasing" if "values" in raw
+                      else "sweep.stop: the range must increase strictly from start")
+    if param in _SWEEP_BOUNDS:
+        meets, bound = _SWEEP_BOUNDS[param]
+        errors += [f"sweep.{key}: {param} must be {bound}, got {v!r}"
+                   for v, key in bounded if not meets(v, 0.0)]
     if errors:
         raise violations_error("sweep", errors, text, root="sweep")
-    return param, values, list(models)
+    return param, values, models
+
+
+def _parameter_error(val) -> str | None:
+    if not (isinstance(val, str) and val in _SWEEP_FIELDS):
+        return f"expected one of {', '.join(_SWEEP_FIELDS)}, got {val!r}"
+    return None
+
+
+def _models_error(val) -> str | None:
+    if not (isinstance(val, list) and val and all(isinstance(m, str) for m in val)):
+        return "expected a nonempty list of model names"
+    return None
+
+
+def _values_error(val) -> str | None:
+    return None if isinstance(val, list) and val else "expected a nonempty list of numbers"
+
+
+def _count_error(val) -> str | None:
+    if isinstance(val, bool) or not isinstance(val, int) or val < 2:
+        return "expected an integer >= 2"
+    return None
 
 
 def _sweep_variant(cfg: SimulationConfig, param: str, value: float,
                    model: str) -> SimulationConfig:
-    """One point of a sweep: re-derive pump/waveguide/filters and the grid."""
-    pump, wg = cfg.pump, cfg.waveguide
-    signal, idler = cfg.signal_filter, cfg.idler_filter
-    if param == "phi_max":
-        scale = wg.gamma * wg.length
-        if not scale > 0:
-            raise ConfigError("sweep over phi_max needs gamma * length > 0")
-        if value < 0:
-            raise ConfigError("sweep.values: phi_max must be nonnegative")
-        pump = dataclasses.replace(pump, P0=value / scale)
-    elif param == "lambda":
-        if not value > 0:
-            raise ConfigError("sweep.values: lambda must be positive")
-        signal = dataclasses.replace(signal, shape="gaussian",
-                                     sigma_f=pump.sigma_w / value)
-    elif param == "mu":
-        if not value > 0:
-            raise ConfigError("sweep.values: mu must be positive")
-        idler = dataclasses.replace(idler, shape="gaussian",
-                                    sigma_f=pump.sigma_w / value)
-    elif param == "sigma_t":
-        if not value > 0:
-            raise ConfigError("sweep.values: sigma_t must be positive")
-        pump = dataclasses.replace(pump, sigma_t=value)
-    elif param == "delta_beta0":
-        wg = dataclasses.replace(wg, delta_beta0=value)
-    grid = build_temporal_grid(pump, [signal, idler],
-                               span_sigmas=cfg.span_sigmas,
-                               n_points=cfg.grid.n_points)
-    variant = dataclasses.replace(cfg, pump=pump, waveguide=wg,
-                                  signal_filter=signal, idler_filter=idler,
-                                  grid=grid, model=model)
-    if violations := validate_config(variant):
-        raise violations_error("configuration", violations)
-    return variant
+    """One point of a sweep: the swept fields replaced and the grid rebuilt."""
+    variant = dataclasses.replace(cfg, model=model, **_SWEEP_FIELDS[param](cfg, value))
+    grid = build_temporal_grid(variant.pump, [variant.signal_filter, variant.idler_filter],
+                               span_sigmas=cfg.span_sigmas, n_points=cfg.grid.n_points)
+    return dataclasses.replace(variant, grid=grid)
 
 
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config, grid_points=args.grid_points,
                       span_sigmas=args.span_sigmas)
-    param, values, models = _load_sweep_spec(args.sweep)
+    param, values, models = _load_sweep_spec(args.sweep, cfg)
     conjugated = not args.non_conjugated_eta
 
     header = [param, "model", "eta"]
@@ -356,21 +356,10 @@ def _cmd_sweep(args) -> int:
         header.append("eta_imag")
     header += ["purity", "nu", "n_schmidt_modes_99", "warnings"]
 
-    # every point is built and validated before the first one is evaluated
-    points, errors = [], []
-    for value, model in itertools.product(values, models):
-        try:
-            points.append((value, model, _sweep_variant(cfg, param, value, model)))
-        except ConfigError as exc:
-            errors += [f"sweep {param}={float(value)!r}, model {model!r}: {v}"
-                       for v in exc.violations]
-    if errors:
-        raise violations_error("sweep", errors)
-
     rows = []
-    for value, model, variant in points:
-        _, _, pm, notes = _evaluate(variant, conjugated=conjugated,
-                                    literal_z=args.as_printed_eq9)
+    for value, model in itertools.product(values, models):
+        _, _, pm, notes = _evaluate(_sweep_variant(cfg, param, value, model),
+                                    conjugated=conjugated, literal_z=args.as_printed_eq9)
         n99 = (schmidt_mode_count(pm.schmidt_weights)
                if pm.schmidt_weights is not None else None)
         row = [repr(float(value)), model, repr(pm.eta)]

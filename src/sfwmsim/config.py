@@ -12,7 +12,7 @@ from pathlib import Path
 from .errors import ConfigError
 from .filtering import FilterSpec
 from .grids import (DEFAULT_N_POINTS, DEFAULT_SPAN_SIGMAS, TemporalGrid,
-                    build_temporal_grid)
+                    _check_grid_size, build_temporal_grid)
 from .jta import MODEL_NAMES, lossless_violation
 from .pump import Material, PumpPulse, Waveguide, nonlinear_parameter
 
@@ -94,16 +94,9 @@ def number_error(val) -> str | None:
     return None
 
 
-def _line_of(text: str, section: str, key: str | None = None) -> int | None:
-    """Best-effort line number of a config key, for anchored messages."""
-    idx = text.find(f'"{section}"')
-    if idx >= 0 and key is not None:
-        idx = text.find(f'"{key}"', idx)
-    return None if idx < 0 else text.count("\n", 0, idx) + 1
-
-
 def _anchor(text: str, message: str, root: str = "") -> str:
-    """Prefix ``line N:`` to a ``section.key: detail`` style message when possible.
+    """Prefix ``line N:`` to a ``section.key: detail`` style message when its
+    key is found, each part of the dotted path looked up after the one before.
 
     Paths under ``root`` name keys at the top level of ``text`` (a sweep
     file's), and an index (``values[1]``) anchors to its list's key.
@@ -111,17 +104,23 @@ def _anchor(text: str, message: str, root: str = "") -> str:
     path = message.split(":", 1)[0]
     if root:
         path = re.sub(r"\[\d+\]", "", path.removeprefix(root + "."))
-    parts = path.split(".")
-    line = _line_of(text, parts[0], parts[1] if len(parts) > 1 else None)
-    return f"line {line}: {message}" if line is not None else message
+    idx = 0
+    for part in path.split("."):
+        if (idx := text.find(f'"{part}"', idx)) < 0:
+            return message
+    line = text.count("\n", 0, idx) + 1
+    return f"line {line}: {message}"
 
 
 def violations_error(kind: str, violations: list[str], text: str | None = None,
                      root: str = "") -> ConfigError:
     """A ConfigError listing every violation of an input; given the input's
-    ``text``, they are line-anchored and sorted, else kept in order."""
+    ``text``, they are line-anchored and sorted, a ``line N:`` prefix by its
+    number, else kept in order."""
     if text is not None:
-        violations = sorted(_anchor(text, v, root) for v in violations)
+        violations = sorted(
+            (_anchor(text, v, root) for v in violations),
+            key=lambda v: re.sub(r"(?<=^line )\d+", lambda m: m[0].zfill(20), v))
     return ConfigError(f"invalid {kind}:\n  " + "\n  ".join(violations),
                        violations=violations)
 
@@ -274,13 +273,16 @@ def config_from_dict(raw: dict, text: str = "",
 
     model = _value(raw, "model", errors, _model_error, required=True)
 
-    # the grid is sized by the pulse width; validate_config, which reads no
-    # grid, reports a nonpositive one
+    # the pulse width sizes the grid, and validate_config reports a nonpositive
+    # one; the grid's own span and size are checked without it
     grid = None
-    if pump is not None and pump.sigma_t > 0:
+    if pump is not None:
         try:
-            grid = build_temporal_grid(pump, [signal_filter, idler_filter],
-                                       span_sigmas=span, n_points=n_points)
+            if pump.sigma_t > 0:
+                grid = build_temporal_grid(pump, [signal_filter, idler_filter],
+                                           span_sigmas=span, n_points=n_points)
+            else:
+                _check_grid_size(span, n_points)
         except ConfigError as exc:
             message = str(exc)
             for flag, path, value in (("--grid-points", "grid.n_points", grid_points),

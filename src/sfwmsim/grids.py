@@ -97,14 +97,8 @@ class SpectralGrid:
                    d_omega=2.0 * math.pi / (grid.n_points * grid.dt))
 
 
-def build_temporal_grid(pulse, filters: Sequence = (),
-                        span_sigmas: float = DEFAULT_SPAN_SIGMAS,
-                        n_points: int = DEFAULT_N_POINTS) -> TemporalGrid:
-    """Size a grid from the slowest feature among the pump and filter kernels.
-
-    The effective width is the larger of the pulse width and the broadest
-    filter time kernel (1/sigma_f); the grid spans +-span_sigmas of it.
-    """
+def _check_grid_size(span_sigmas: float, n_points: int) -> None:
+    """The checks of a grid's span and size, which need no pulse."""
     if not math.isfinite(span_sigmas):
         raise ConfigError(f"grid.span_sigmas: expected a finite number, got {span_sigmas!r}")
     if not span_sigmas >= 6:
@@ -114,6 +108,16 @@ def build_temporal_grid(pulse, filters: Sequence = (),
         raise ConfigError(
             f"grid.n_points: {n_points!r} is not a power of two >= 64")
 
+
+def build_temporal_grid(pulse, filters: Sequence = (),
+                        span_sigmas: float = DEFAULT_SPAN_SIGMAS,
+                        n_points: int = DEFAULT_N_POINTS) -> TemporalGrid:
+    """Size a grid from the slowest feature among the pump and filter kernels.
+
+    The effective width is the larger of the pulse width and the broadest
+    filter time kernel (1/sigma_f); the grid spans +-span_sigmas of it.
+    """
+    _check_grid_size(span_sigmas, n_points)
     sigma_eff = float(pulse.sigma_t)
     for f in filters:
         if f is not None and getattr(f, "shape", None) == "gaussian":

@@ -1,18 +1,22 @@
 import argparse
 import csv
+import itertools
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sfwmsim.cli
 import sfwmsim.filtering
 import sfwmsim.metrics
-from sfwmsim import (FilterPair, JointAmplitudeMatrix, SpectralGrid,
-                     TemporalGrid, filtered_jta, gaussian_eta, gaussian_nu,
-                     gaussian_purity, jta_simple, jta_to_jsa, load_config,
-                     marginal_spectrum)
+from sfwmsim import (MODEL_NAMES, ConfigError, FilterPair, JointAmplitudeMatrix,
+                     SpectralGrid, TemporalGrid, config_from_dict, filtered_jta,
+                     gaussian_eta, gaussian_nu, gaussian_purity, jta_simple, jta_to_jsa,
+                     load_config, marginal_spectrum, validate_config)
 from sfwmsim.cli import (build_diagonal_jta, export_matrix, main,
                          read_matrix_coords)
 from conftest import make_filters, make_pump, make_waveguide
@@ -645,8 +649,45 @@ def test_sweep_rejects_a_bad_point_before_evaluating_any(tmp_path, capsys,
                  "--out", str(out)]) == 2
     assert calls == []
     assert not out.exists()
-    assert ("sweep phi_max=0.1, model 'linear': model: lossy medium requires "
-            "general_quadrature" in capsys.readouterr().err)
+    assert capsys.readouterr().err == ("configuration invalid:\n  line 6: sweep.models: "
+                                       "model 'linear': lossy medium requires "
+                                       "general_quadrature\n")
+
+
+_SWEEP_CONFIGS = {
+    "base": config_from_dict({**BASE, "grid": {"n_points": 64}}),
+    "lossy": config_from_dict({**BASE, "grid": {"n_points": 64},
+                               "waveguide": {"gamma": 1.0, "length": 1.0, "alpha": 20.0},
+                               "model": "general_quadrature"}),
+    "gamma_zero": config_from_dict({**BASE, "grid": {"n_points": 64},
+                                    "waveguide": {"gamma": 0.0, "length": 1.0}}),
+}
+_SWEPT = st.one_of(st.floats(0.0, 3.0), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(config=st.sampled_from(sorted(_SWEEP_CONFIGS)),
+       parameter=st.sampled_from(["phi_max", "lambda", "mu", "sigma_t", "delta_beta0"]),
+       points=st.one_of(
+           st.lists(_SWEPT, min_size=1, max_size=3, unique=True).map(
+               lambda vs: {"values": sorted(vs)}),
+           st.tuples(_SWEPT, _SWEPT, st.integers(2, 4)).map(
+               lambda r: {"start": min(r[:2]), "stop": max(r[:2]), "count": r[2]})),
+       models=st.lists(st.sampled_from(MODEL_NAMES), min_size=1, max_size=2, unique=True))
+def test_every_point_of_an_accepted_sweep_is_a_valid_config(config, parameter, points,
+                                                           models):
+    # the spec reader is the only check a sweep makes, so it must admit no
+    # point that validate_config would reject
+    cfg = _SWEEP_CONFIGS[config]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sweep.json"
+        path.write_text(json.dumps({"parameter": parameter, **points, "models": models}))
+        try:
+            param, values, accepted = sfwmsim.cli._load_sweep_spec(path, cfg)
+        except ConfigError:
+            return
+    for value, model in itertools.product(values, accepted):
+        assert validate_config(sfwmsim.cli._sweep_variant(cfg, param, value, model)) == []
 
 
 def test_sweep_accuracy_failure_propagates(tmp_path):

@@ -227,9 +227,13 @@ def test_config_from_dict_without_text():
      "n2", "material.n2: must be positive"),
 ])
 def test_each_bad_value_is_reported_once_under_its_own_key(tmp_path, edit, key, violation):
+    # the violation's line is that of its own (last) key, the first one at or
+    # after the line of ``key``
     path = _write(tmp_path, {**_base_raw(), **edit})
     lines = path.read_text().splitlines()
-    line = 1 + next(i for i, text in enumerate(lines) if f'"{key}"' in text)
+    start = next(i for i, text in enumerate(lines) if f'"{key}"' in text)
+    own = violation.split(":")[0].rpartition(".")[2]
+    line = 1 + next(i for i in range(start, len(lines)) if f'"{own}"' in lines[i])
     with pytest.raises(ConfigError) as excinfo:
         load_config(path)
     assert excinfo.value.violations == [f"line {line}: {violation}"]

@@ -10,6 +10,7 @@ line anchors follow that layout.
 
 import copy
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -62,3 +63,11 @@ def test_malformed_input_exit_code_and_stderr(tmp_path, capsys, monkeypatch, cas
     assert main(argv + flags) == case["exit"]
     assert capsys.readouterr().err == case["stderr"]
     assert not (tmp_path / "out").exists()
+
+
+def test_each_violation_is_listed_once_and_in_file_order():
+    for case in CORPUS["cases"]:
+        lines = case["stderr"].splitlines()[1:]
+        assert len(set(lines)) == len(lines), case["id"]
+        anchored = [int(m[1]) for line in lines if (m := re.match(r" *line (\d+): ", line))]
+        assert anchored == sorted(anchored), case["id"]
