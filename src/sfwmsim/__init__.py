@@ -11,10 +11,8 @@ from .config import (MODEL_NAMES, RegimeCheckSpec, SimulationConfig,
 from .errors import (AccuracyError, AccuracyWarning, ConfigError,
                      DegenerateInputError, ModelCompatibilityError,
                      SimulationError, UndefinedEfficiencyError)
-from .filtering import (FilterPair, FilterSpec, JointAmplitudeMatrix,
-                        SeriesResult, filtered_jta, filtered_jta_gaussian_series,
-                        filtered_jta_linear_gaussian, gaussian_time_kernel,
-                        overlap)
+from .filtering import (FilterPair, FilterSpec, JointAmplitudeMatrix, filtered_jta,
+                        gaussian_time_kernel, overlap)
 from .grids import SpectralGrid, TemporalGrid, build_temporal_grid
 from .jta import (DiagonalJTA, jta_general, jta_linear, jta_simple, jta_sinc)
 from .metrics import (LOW_EXCITATION_BOUND, PairMetrics, SchmidtDecomposition,
@@ -27,8 +25,7 @@ from .pump import (Material, ModeProfile, PumpPulse, RegimeCheckResult,
                    Waveguide, check_free_carrier_regime, effective_area,
                    effective_length, nonlinear_parameter, nonlinear_phase,
                    phi_max, propagate_power, pump_power_profile)
-from .spectral import (jsa_linear_gaussian, jsa_linear_unfiltered, jsa_to_jta,
-                       jta_to_jsa, marginal_spectrum)
+from .spectral import jsa_to_jta, jta_to_jsa, marginal_spectrum
 
 __version__ = "0.1.0"
 
@@ -38,14 +35,13 @@ __all__ = [
     "LOW_EXCITATION_BOUND", "MODEL_NAMES", "Material", "ModeProfile",
     "ModelCompatibilityError",
     "PairMetrics", "PumpPulse", "RegimeCheckResult", "RegimeCheckSpec",
-    "SchmidtDecomposition", "SeriesResult", "SimulationConfig",
+    "SchmidtDecomposition", "SimulationConfig",
     "SimulationError", "SpectralGrid", "TemporalGrid",
     "UndefinedEfficiencyError", "Waveguide", "build_temporal_grid",
     "check_free_carrier_regime", "compute_pair_metrics", "config_from_dict",
     "effective_area", "effective_length", "filtered_jta",
-    "filtered_jta_gaussian_series", "filtered_jta_linear_gaussian",
     "gaussian_eta", "gaussian_nu", "gaussian_purity", "gaussian_time_kernel",
-    "heralding_efficiency", "jsa_linear_gaussian", "jsa_linear_unfiltered",
+    "heralding_efficiency",
     "jsa_to_jta", "jta_general", "jta_linear", "jta_simple", "jta_sinc",
     "jta_to_jsa", "load_config", "marginal_spectrum", "nonlinear_parameter",
     "nonlinear_phase", "overlap", "pair_probability",

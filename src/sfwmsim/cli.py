@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import (SimulationConfig, _anchor, _model_error, _unknown_keys, _value,
-                     load_config, number_error, read_json, violations_error)
+                     load_config, number_error, read_json, scale_violations,
+                     violations_error)
 from .errors import AccuracyError, AccuracyWarning, ConfigError
 from .filtering import FilterPair, FilterSpec, JointAmplitudeMatrix, filtered_jta
 from .grids import build_temporal_grid
@@ -262,7 +263,8 @@ def _load_sweep_spec(path, cfg: SimulationConfig):
         raise ConfigError("sweep root: expected a JSON object")
     errors = _unknown_keys("sweep", raw, ("parameter", "values", *_RANGE_KEYS, "models"))
     param = _value(raw, "sweep.parameter", errors, _parameter_error, required=True)
-    if param == "phi_max" and not cfg.waveguide.gamma * cfg.waveguide.length > 0:
+    no_phase = param == "phi_max" and not cfg.waveguide.gamma * cfg.waveguide.length > 0
+    if no_phase:
         errors.append("sweep.parameter: sweep over phi_max needs gamma * length > 0")
 
     models = _value(raw, "sweep.models", errors, _models_error, required=True) or []
@@ -276,7 +278,9 @@ def _load_sweep_spec(path, cfg: SimulationConfig):
 
     n_models = len(raw["models"]) if isinstance(raw.get("models"), list) else 1
     over_limit = f"x {n_models} models is over the limit of {_SWEEP_MAX_POINTS} points"
-    values, bounded = [], []  # bounded: the (value, key) pairs the bound applies to
+    # (value, key) pairs: those the bound applies to, and those whose point scales
+    # are checked, every listed value or a range's ends, between which it lies
+    values, bounded, ends = [], [], []
     if "values" in raw and any(k in raw for k in _RANGE_KEYS):
         errors.append("sweep.values: give either values or start/stop/count, not both")
     elif "values" in raw:
@@ -289,7 +293,7 @@ def _load_sweep_spec(path, cfg: SimulationConfig):
             errors += bad
             if not bad:
                 values = [float(v) for v in vs]
-                bounded = [(v, f"values[{i}]") for i, v in enumerate(values)]
+                bounded = ends = [(v, f"values[{i}]") for i, v in enumerate(values)]
     elif any(k in raw for k in _RANGE_KEYS):
         start, stop = (_value(raw, f"sweep.{k}", errors, required=True)
                        for k in ("start", "stop"))
@@ -297,18 +301,32 @@ def _load_sweep_spec(path, cfg: SimulationConfig):
         if count is not None and count * n_models > _SWEEP_MAX_POINTS:
             errors.append(f"sweep.count: {count} values {over_limit}")
         elif None not in (start, stop, count):
-            values = list(np.linspace(float(start), float(stop), count))
-            # the lower end of the range, which is its start when it increases
-            bounded = [min((float(start), "start"), (float(stop), "stop"))]
+            ends = [(float(start), "start"), (float(stop), "stop")]
+            bounded = [min(ends)]  # the lower end, its start when it increases
+            if not math.isfinite(float(stop) - float(start)):
+                errors.append("sweep.stop: stop - start overflows")
+            else:
+                # the last step may round past the largest float; linspace puts stop there
+                with np.errstate(over="ignore"):
+                    values = list(np.linspace(float(start), float(stop), count))
     else:
         errors.append("sweep.values: missing (give values or start/stop/count)")
     if any(b <= a for a, b in zip(values, values[1:])):
         errors.append("sweep.values: must be strictly increasing" if "values" in raw
                       else "sweep.stop: the range must increase strictly from start")
-    if param in _SWEEP_BOUNDS:
-        meets, bound = _SWEEP_BOUNDS[param]
-        errors += [f"sweep.{key}: {param} must be {bound}, got {v!r}"
-                   for v, key in bounded if not meets(v, 0.0)]
+    meets, bound = _SWEEP_BOUNDS.get(param, (lambda v, _: True, None))
+    errors += [f"sweep.{key}: {param} must be {bound}, got {v!r}"
+               for v, key in bounded if not meets(v, 0.0)]
+    checked = ([(v, key) for v, key in ends if meets(v, 0.0)]
+               if param in _SWEEP_FIELDS and not no_phase else [])
+
+    def point_errors(v, key):
+        return [f"sweep.{key}: {param} {v!r} gives {why}"
+                for why in scale_violations(_sweep_variant(cfg, param, v, cfg.model))]
+    # each scale holds on an interval of the swept value, so a value can fail
+    # only if the smallest or the largest one does
+    if checked and point_errors(*min(checked)) + point_errors(*max(checked)):
+        errors += [e for v, key in checked for e in point_errors(v, key)]
     if errors:
         raise violations_error("sweep", errors, text, root="sweep")
     return param, values, models

@@ -14,7 +14,7 @@ from .filtering import FilterSpec
 from .grids import (DEFAULT_N_POINTS, DEFAULT_SPAN_SIGMAS, TemporalGrid,
                     _check_grid_size, build_temporal_grid)
 from .jta import MODEL_NAMES, lossless_violation
-from .pump import Material, PumpPulse, Waveguide, nonlinear_parameter
+from .pump import Material, PumpPulse, Waveguide, nonlinear_parameter, phi_max
 
 _GAMMA_AGREEMENT_RTOL = 1e-6
 _SECTIONS = ("material", "pump", "waveguide", "filters", "grid", "model", "regime_check")
@@ -82,7 +82,25 @@ def validate_config(cfg: SimulationConfig) -> list[str]:
             errors.append("regime_check.T0: must be positive")
         if rc.I0 < 0:
             errors.append("regime_check.I0: must be nonnegative")
+    errors.extend(scale_violations(cfg))
     return sorted(errors)
+
+
+def scale_violations(cfg: SimulationConfig) -> list[str]:
+    """The scales of a config that leave the floating-point range: the peak
+    phase gamma * length * P0 must be finite, and the pulse width, each gaussian
+    bandwidth and then the grid's half-width, which they size, must each have a
+    finite, nonzero square."""
+    errors = [] if math.isfinite(phi_max(cfg.pump, cfg.waveguide)) else [
+        "pump.P0: the peak phase gamma * length * P0 is not finite"]
+    scales = [("pump.sigma_t", "", cfg.pump.sigma_t)] + [
+        (f"filters.{side}.sigma_f", "", filt.sigma_f) for side, filt
+        in (("signal", cfg.signal_filter), ("idler", cfg.idler_filter)) if filt.is_gaussian]
+    if cfg.grid is not None and all(0.0 < x * x < math.inf for *_, x in scales):
+        scales.append(("grid.span_sigmas", "the grid half-width ", cfg.grid.half_width))
+    return errors + [f"{path}: {what}{x!r} squared "
+                     + ("overflows" if x * x else "underflows to zero")
+                     for path, what, x in scales if x > 0 and not 0.0 < x * x < math.inf]
 
 
 def number_error(val) -> str | None:
@@ -275,7 +293,7 @@ def config_from_dict(raw: dict, text: str = "",
 
     # the pulse width sizes the grid, and validate_config reports a nonpositive
     # one; the grid's own span and size are checked without it
-    grid = None
+    grid, late = None, []  # late: the violations a grid flag may have caused
     if pump is not None:
         try:
             if pump.sigma_t > 0:
@@ -284,12 +302,7 @@ def config_from_dict(raw: dict, text: str = "",
             else:
                 _check_grid_size(span, n_points)
         except ConfigError as exc:
-            message = str(exc)
-            for flag, path, value in (("--grid-points", "grid.n_points", grid_points),
-                                      ("--span-sigmas", "grid.span_sigmas", span_sigmas)):
-                if value is not None and message.startswith(path + ":"):
-                    message = flag + message[len(path):]
-            errors.append(message)
+            late.append(str(exc))
 
     cfg = None
     if None not in (pump, waveguide, signal_filter, idler_filter, model):
@@ -297,7 +310,13 @@ def config_from_dict(raw: dict, text: str = "",
                                signal_filter=signal_filter, idler_filter=idler_filter,
                                grid=grid, model=model, span_sigmas=span,
                                material=material, regime_check=regime)
-        errors.extend(validate_config(cfg))
+        late.extend(validate_config(cfg))
+    for message in late:  # a grid value a flag set is reported under the flag
+        for flag, path, value in (("--grid-points", "grid.n_points", grid_points),
+                                  ("--span-sigmas", "grid.span_sigmas", span_sigmas)):
+            if value is not None and message.startswith(path + ":"):
+                message = flag + message[len(path):]
+        errors.append(message)
     if errors:
         raise violations_error("configuration", errors, text)
     return cfg

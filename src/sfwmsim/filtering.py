@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ModelCompatibilityError
+from .errors import ConfigError
 from .grids import SpectralGrid, TemporalGrid
-from .jta import DiagonalJTA, lossless_violation
-from .pump import PumpPulse, Waveguide
+from .jta import DiagonalJTA
+from .pump import PumpPulse
 
 FILTER_SHAPES = ("gaussian", "none")
 
@@ -144,84 +144,3 @@ def filtered_jta(diag: DiagonalJTA, filters: FilterPair) -> JointAmplitudeMatrix
     else:
         values = diag.values[:, None] * b * (DELTA_KERNEL_WEIGHT / (2.0 * math.pi))
     return JointAmplitudeMatrix(grid, grid, values)
-
-
-def _gaussian_ratios_or_raise(pulse: PumpPulse, filters: FilterPair) -> tuple[float, float]:
-    lam, mu = filters.ratios(pulse)
-    if lam == 0.0 or mu == 0.0:
-        raise ConfigError(
-            "closed forms require gaussian filters on both sides (the "
-            "unfiltered limit has a divergent prefactor)")
-    return lam, mu
-
-
-def filtered_jta_linear_gaussian(pulse: PumpPulse, wg: Waveguide, filters: FilterPair,
-                                 out_grid: TemporalGrid) -> JointAmplitudeMatrix:
-    """Closed-form filtered amplitude for the weak-pump (linear) tier."""
-    lam, mu = _gaussian_ratios_or_raise(pulse, filters)
-    sw = pulse.sigma_w
-    phi = wg.gamma * wg.length * pulse.P0
-    ts = out_grid.tau[:, None]
-    ti = out_grid.tau[None, :]
-    d0 = 2.0 * lam ** 2 * mu ** 2 + lam ** 2 + mu ** 2
-    pref = 1j * phi / math.sqrt(math.pi) * sw / math.sqrt(d0)
-    values = pref * np.exp(
-        -sw ** 2 * (2.0 * (lam ** 2 * ti ** 2 + mu ** 2 * ts ** 2) + (ts - ti) ** 2) / d0)
-    return JointAmplitudeMatrix(out_grid, out_grid, values)
-
-
-@dataclass(frozen=True, eq=False)
-class SeriesResult:
-    """Filtered amplitude built term-by-term, with truncation bookkeeping."""
-
-    matrix: JointAmplitudeMatrix
-    n_terms: int
-    residual_bound: float
-
-
-def filtered_jta_gaussian_series(pulse: PumpPulse, wg: Waveguide, filters: FilterPair,
-                                 out_grid: TemporalGrid, tol: float = 1e-12) -> SeriesResult:
-    """Filtered amplitude of the phase-modulated tier as a Gaussian series.
-
-    Expands exp(3i gamma P L) and filters each Gaussian term in closed form.
-    Terms are added while the dimensionless bound (3 phi_max)^n / n! is at
-    least ``tol``; the returned residual bound is the summed tail of that
-    bound past the truncation point.
-    """
-    if not tol > 0:
-        raise ConfigError(f"series tolerance must be positive, got {tol!r}")
-    if (violation := lossless_violation("simple_sxpm", wg)) is not None:
-        raise ModelCompatibilityError(violation)
-    lam, mu = _gaussian_ratios_or_raise(pulse, filters)
-    sw = pulse.sigma_w
-    phi = wg.gamma * wg.length * pulse.P0
-    ts = out_grid.tau[:, None]
-    ti = out_grid.tau[None, :]
-    sep_sq = (ts - ti) ** 2
-    mix = lam ** 2 * ti ** 2 + mu ** 2 * ts ** 2
-
-    values = np.zeros((out_grid.n_points, out_grid.n_points), dtype=complex)
-    bound = 1.0  # (3 phi)^n / n! at n = 0
-    coef = 1j * phi / math.sqrt(math.pi) * sw  # shared scalar prefactor
-    term_weight = 1.0 + 0.0j  # (3i phi)^n / n!
-    n = 0
-    while bound >= tol and n < 1000:
-        dn = 2.0 * (1 + n) * lam ** 2 * mu ** 2 + lam ** 2 + mu ** 2
-        values += (coef * term_weight / math.sqrt(dn)) * np.exp(
-            -sw ** 2 * (2.0 * (1 + n) * mix + sep_sq) / dn)
-        n += 1
-        term_weight *= 3j * phi / n
-        bound *= 3.0 * phi / n
-
-    residual = 0.0
-    tail = bound
-    k = n
-    while tail > residual * 1e-16 and k < n + 400:
-        residual += tail
-        k += 1
-        tail *= 3.0 * phi / k
-        if tail == 0.0:
-            break
-
-    matrix = JointAmplitudeMatrix(out_grid, out_grid, values)
-    return SeriesResult(matrix=matrix, n_terms=n, residual_bound=residual)

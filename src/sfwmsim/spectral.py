@@ -1,5 +1,5 @@
-"""Frequency-domain views: the time<->frequency transform pair, the linear
-closed form, and marginal-spectrum diagnostics.
+"""Frequency-domain views: the time<->frequency transform pair and
+marginal-spectrum diagnostics.
 
 Convention: forward transform kernel e^{+i delta tau} with 1/sqrt(2 pi) per
 axis (unitary). On centred power-of-two grids the transform is realized
@@ -13,9 +13,8 @@ import math
 import numpy as np
 
 from .errors import ConfigError
-from .filtering import FilterPair, JointAmplitudeMatrix, _gaussian_ratios_or_raise
+from .filtering import JointAmplitudeMatrix
 from .grids import SpectralGrid, TemporalGrid
-from .pump import PumpPulse, Waveguide
 
 
 def _axis(x: np.ndarray, step: float, axis: int, forward: bool) -> np.ndarray:
@@ -48,39 +47,6 @@ def jsa_to_jta(matrix: JointAmplitudeMatrix) -> JointAmplitudeMatrix:
     out = _axis(_axis(matrix.values, matrix.grid_s.d_omega, 0, False),
                 matrix.grid_i.d_omega, 1, False)
     return JointAmplitudeMatrix(_time_grid(matrix.grid_s), _time_grid(matrix.grid_i), out)
-
-
-def jsa_linear_gaussian(pulse: PumpPulse, wg: Waveguide, filters: FilterPair,
-                        sgrid: SpectralGrid) -> JointAmplitudeMatrix:
-    """Closed-form filtered two-frequency amplitude for the weak-pump tier.
-
-    Energy conservation shows up as the exp(-((d_s+d_i)/2)^2 / (2 sigma_w^2))
-    ridge along d_s + d_i = 0.
-    """
-    _gaussian_ratios_or_raise(pulse, filters)
-    sw = pulse.sigma_w
-    phi = wg.gamma * wg.length * pulse.P0
-    ds = sgrid.omega[:, None]
-    di = sgrid.omega[None, :]
-    sfs = filters.signal.sigma_f
-    sfi = filters.idler.sigma_f
-    pref = 1j * phi / 2.0 / (math.sqrt(2.0 * math.pi) * sw)
-    values = pref * np.exp(-((ds + di) / 2.0) ** 2 / (2.0 * sw ** 2)
-                           - ds ** 2 / (4.0 * sfs ** 2)
-                           - di ** 2 / (4.0 * sfi ** 2))
-    return JointAmplitudeMatrix(sgrid, sgrid, values)
-
-
-def jsa_linear_unfiltered(pulse: PumpPulse, wg: Waveguide,
-                          sgrid: SpectralGrid) -> JointAmplitudeMatrix:
-    """Unfiltered weak-pump two-frequency amplitude: a pure energy ridge."""
-    sw = pulse.sigma_w
-    phi = wg.gamma * wg.length * pulse.P0
-    ds = sgrid.omega[:, None]
-    di = sgrid.omega[None, :]
-    pref = 1j * phi / 2.0 / (math.sqrt(2.0 * math.pi) * sw)
-    values = pref * np.exp(-((ds + di) / 2.0) ** 2 / (2.0 * sw ** 2))
-    return JointAmplitudeMatrix(sgrid, sgrid, values)
 
 
 def marginal_spectrum(jsa: JointAmplitudeMatrix, axis: str = "signal") -> np.ndarray:

@@ -6,10 +6,14 @@ are specified through the bandwidth ratios lambda = sigma_w / sigma_f
 (signal) and mu (idler); a ratio of 0 means that side is unfiltered.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from sfwmsim import FilterPair, FilterSpec, PumpPulse, Waveguide, build_temporal_grid
+import gaussian_reference
+from sfwmsim import (FilterPair, FilterSpec, JointAmplitudeMatrix, PumpPulse, Waveguide,
+                     build_temporal_grid)
 
 
 def make_pump(phi_max=0.1, sigma_t=1.0):
@@ -36,6 +40,32 @@ def make_grid(pump, filters=(), n_points=512, span_sigmas=8.0):
     specs = [f for f in filters if f is not None]
     return build_temporal_grid(pump, specs, span_sigmas=span_sigmas,
                                n_points=n_points)
+
+
+def reference_coefficients(pump, wg, model="linear"):
+    """The Gaussian-series coefficients of a model tier, from the reference."""
+    return gaussian_reference.coefficients(
+        gaussian_reference.tier_map(model, **dataclasses.asdict(wg)), pump.P0)
+
+
+def _bandwidth(filt):
+    return filt.sigma_f if filt.is_gaussian else np.inf
+
+
+def reference_jta(pump, wg, filters, grid, model="linear"):
+    """The reference's filtered two-time amplitude on ``grid``; both sides filtered."""
+    values = gaussian_reference.filtered_jta(
+        reference_coefficients(pump, wg, model), pump.sigma_t,
+        filters.signal.sigma_f, filters.idler.sigma_f, grid.tau, grid.tau)
+    return JointAmplitudeMatrix(grid, grid, values)
+
+
+def reference_jsa(pump, wg, filters, sgrid, model="linear"):
+    """The reference's filtered two-frequency amplitude on ``sgrid``."""
+    values = gaussian_reference.filtered_jsa(
+        reference_coefficients(pump, wg, model), pump.sigma_t,
+        _bandwidth(filters.signal), _bandwidth(filters.idler), sgrid.omega, sgrid.omega)
+    return JointAmplitudeMatrix(sgrid, sgrid, values)
 
 
 @pytest.fixture

@@ -12,17 +12,18 @@ import time
 import numpy as np
 import pytest
 
+import gaussian_reference
 from sfwmsim import (FilterPair, FilterSpec, build_temporal_grid,
                      check_free_carrier_regime, effective_length, filtered_jta,
-                     filtered_jta_gaussian_series, filtered_jta_linear_gaussian,
                      gaussian_eta, gaussian_nu, gaussian_purity,
-                     heralding_efficiency, jsa_linear_gaussian, jsa_to_jta,
+                     heralding_efficiency, jsa_to_jta,
                      jta_general, jta_linear, jta_simple, jta_sinc, jta_to_jsa,
                      nonlinear_phase, pair_probability, propagate_power,
                      pump_power_profile, purity_quadrature, purity_schmidt,
                      single_sided_eta, single_sided_purity,
                      validate_low_excitation)
-from conftest import make_filters, make_grid, make_pump, make_waveguide
+from conftest import (make_filters, make_grid, make_pump, make_waveguide,
+                      reference_coefficients, reference_jsa, reference_jta)
 
 RATIOS = (0.5, 1.0, 2.0, 4.0)
 
@@ -46,7 +47,7 @@ def test_criterion_01_linear_purity_oracle(capsys):
     for lam in RATIOS:
         for mu in RATIOS:
             pump, wg, filters, grid = _linear_case(0.1, lam, mu)
-            matrix = filtered_jta_linear_gaussian(pump, wg, filters, grid)
+            matrix = reference_jta(pump, wg, filters, grid)
             got = purity_schmidt(matrix).purity
             worst = max(worst, abs(got - gaussian_purity(lam, mu)))
     anchor_err = abs(gaussian_purity(2.0, 2.0) - 0.993808)
@@ -135,32 +136,16 @@ def test_criterion_04_phase_cancellation_with_unfiltered_idler(capsys):
     assert elapsed <= 5.0
 
 
-def _spectral_series_purity(phi, sigma_t, sigma_fs, sigma_fi):
-    """Heralded purity of the phase-matched SPM/XPM amplitude, built in frequency.
-
-    Independent of the package numerics: the phase factor exp(3i phi p(u)) of
-    the pulse shape p(u) = exp(-u^2 / 2 sigma_t^2) is expanded as
-    sum_n (3i phi)^n / n! * exp(-(n+1) u^2 / 2 sigma_t^2). Every term has a
-    closed-form Fourier transform, which gives the pump-sum spectrum F(Omega).
-    The JSA F(w_s + w_i) exp(-w_s^2 / 4 sigma_fs^2) exp(-w_i^2 / 4 sigma_fi^2)
-    is sampled on a uniform 401-point grid over +-5 rad/ps, and its singular
-    values give the purity.
-    Terms are summed until (3 phi)^n / n! < 1e-18; phi = 0 keeps only the
-    zeroth (linear, weak-pump) term.
-    """
+def _spectral_series_purity(pump, wg, filters, model):
+    """Heralded purity of a model tier from the Gaussian-series reference,
+    which shares no code with the package: its filtered JSA is sampled on a
+    uniform 401-point grid over +-5 rad/ps, and its singular values give the
+    purity."""
     w = np.linspace(-5.0, 5.0, 401)
-    omega_sq = (w[:, None] + w[None, :]) ** 2
-    spectrum = np.zeros(omega_sq.shape, dtype=complex)
-    n, coeff = 0, 1.0 + 0.0j
-    while abs(coeff) >= 1e-18:
-        a = (n + 1) / sigma_t ** 2
-        spectrum += coeff * math.sqrt(2.0 * math.pi / a) * np.exp(-omega_sq / (2.0 * a))
-        n += 1
-        coeff *= 3j * phi / n
-    jsa = (spectrum * np.exp(-w[:, None] ** 2 / (4.0 * sigma_fs ** 2))
-           * np.exp(-w[None, :] ** 2 / (4.0 * sigma_fi ** 2)))
-    weights = np.linalg.svd(jsa, compute_uv=False) ** 2
-    return float(np.sum(weights ** 2) / np.sum(weights) ** 2)
+    jsa = gaussian_reference.filtered_jsa(
+        reference_coefficients(pump, wg, model), pump.sigma_t,
+        filters.signal.sigma_f, filters.idler.sigma_f, w, w)
+    return gaussian_reference.purity(jsa)
 
 
 def test_criterion_05_nonlinear_trends(capsys):
@@ -170,11 +155,10 @@ def test_criterion_05_nonlinear_trends(capsys):
     # growing rise; the pair rate at phi_max = 2 falls below the linear one.
     t0 = time.perf_counter()
     wg = make_waveguide()
-    pump0 = make_pump(phi_max=0.0)
-    filters0 = make_filters(2.0, 2.0, pump0)
-    zeroth_err = abs(_spectral_series_purity(
-        0.0, pump0.sigma_t, filters0.signal.sigma_f, filters0.idler.sigma_f)
-        - gaussian_purity(2.0, 2.0))
+    pump0 = make_pump(phi_max=1.0)
+    # the purity is scale free, so the linear tier at any phi is its phi -> 0 limit
+    linear_err = abs(_spectral_series_purity(pump0, wg, make_filters(2.0, 2.0, pump0),
+                                             "linear") - gaussian_purity(2.0, 2.0))
     deltas, ref_errs = {}, {}
     for phi in (0.5, 1.0, 1.5, 2.0):
         pump = make_pump(phi_max=phi)
@@ -184,9 +168,7 @@ def test_criterion_05_nonlinear_trends(capsys):
                                                filters)).purity
         p_linear = purity_schmidt(filtered_jta(jta_linear(pump, wg, grid),
                                                filters)).purity
-        p_ref = _spectral_series_purity(
-            phi * wg.gamma * wg.length, pump.sigma_t,
-            filters.signal.sigma_f, filters.idler.sigma_f)
+        p_ref = _spectral_series_purity(pump, wg, filters, "simple_sxpm")
         deltas[phi] = p_simple - p_linear
         ref_errs[phi] = abs(p_simple - p_ref)
     pump2 = make_pump(phi_max=2.0)
@@ -197,19 +179,19 @@ def test_criterion_05_nonlinear_trends(capsys):
     elapsed = time.perf_counter() - t0
     worst_ref = max(ref_errs.values())
     rate_ok = ratio < 1.0
-    ref_ok = zeroth_err <= 1e-12 and worst_ref <= 1e-10
+    ref_ok = linear_err <= 1e-12 and worst_ref <= 1e-10
     shape_ok = (all(-1e-4 < deltas[phi] < 0.0 for phi in (0.5, 1.0))
                 and 0.0 < deltas[1.5] < deltas[2.0])
     ok = rate_ok and ref_ok and shape_ok and elapsed <= 60.0
     dp_text = ", ".join(f"phi={phi}: {dp:+.3e}" for phi, dp in deltas.items())
     numbers = (f"purity deltas {dp_text}; max |P - reference| {worst_ref:.1e}, "
-               f"zeroth-term err {zeroth_err:.1e}")
+               f"linear-tier err {linear_err:.1e}")
     _announce(capsys, 5, ok,
               f"rate ratio {ratio:.5f} (<1: {rate_ok}); {numbers}; "
               f"{elapsed:.1f}s")
     assert rate_ok, f"rate ratio {ratio:.5f} at phi=2 is not below 1"
     assert elapsed <= 60.0
-    assert zeroth_err <= 1e-12, (
+    assert linear_err <= 1e-12, (
         "spectral reference misses the Gaussian closed form: " + numbers)
     assert worst_ref <= 1e-10, (
         "simple_sxpm purity departs from the spectral reference: " + numbers)
@@ -220,36 +202,38 @@ def test_criterion_05_nonlinear_trends(capsys):
 
 def test_criterion_06_series_vs_convolution(capsys):
     worst = 0.0
-    worst_residual = 0.0
+    worst_dropped = 0.0
     wg = make_waveguide()
     for phi in (0.5, 1.0, 2.0):
         pump = make_pump(phi_max=phi)
         filters = make_filters(2.0, 2.0, pump)
         grid = make_grid(pump, [filters.signal, filters.idler])
-        res = filtered_jta_gaussian_series(pump, wg, filters, grid)
+        res = reference_jta(pump, wg, filters, grid, "simple_sxpm")
         direct = filtered_jta(jta_simple(pump, wg, grid), filters)
-        err = (np.linalg.norm(res.matrix.values - direct.values)
+        err = (np.linalg.norm(res.values - direct.values)
                / np.linalg.norm(direct.values))
         worst = max(worst, err)
-        worst_residual = max(worst_residual, res.residual_bound)
-    ok = worst <= 1e-6 and worst_residual < 1e-10
+        # the reference sums the terms below KEPT; the ones it drops must be round-off
+        c = np.abs(reference_coefficients(pump, wg, "simple_sxpm"))
+        worst_dropped = max(worst_dropped, c[gaussian_reference.KEPT:].max() / c.max())
+    ok = worst <= 1e-6 and worst_dropped < 1e-16
     _announce(capsys, 6, ok,
               f"series vs convolution max Frobenius rel err {worst:.3e}, "
-              f"max truncation residual {worst_residual:.3e}")
+              f"largest dropped coefficient {worst_dropped:.3e} of the largest")
     assert worst <= 1e-6
-    assert worst_residual < 1e-10
+    assert worst_dropped < 1e-16
 
 
 def test_criterion_07_fourier_duality(capsys):
     pump, wg, filters, grid = _linear_case(0.1, 2.0, 2.0)
-    mt = filtered_jta_linear_gaussian(pump, wg, filters, grid)
+    mt = reference_jta(pump, wg, filters, grid)
     jsa = jta_to_jsa(mt)
     p_time = purity_schmidt(mt).purity
     p_freq = purity_schmidt(jsa).purity
     duality_err = abs(p_freq - p_time)
     back = jsa_to_jta(jsa)
     round_trip = np.abs(back.values - mt.values).max() / np.abs(mt.values).max()
-    closed = jsa_linear_gaussian(pump, wg, filters, jsa.grid_s)
+    closed = reference_jsa(pump, wg, filters, jsa.grid_s)
     closed_err = (np.abs(jsa.values - closed.values).max()
                   / np.abs(closed.values).max())
     ok = duality_err <= 1e-8 and round_trip <= 1e-12 and closed_err <= 1e-6

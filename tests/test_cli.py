@@ -661,8 +661,13 @@ _SWEEP_CONFIGS = {
                                "model": "general_quadrature"}),
     "gamma_zero": config_from_dict({**BASE, "grid": {"n_points": 64},
                                     "waveguide": {"gamma": 0.0, "length": 1.0}}),
+    "gamma_length_tiny": config_from_dict({**BASE, "grid": {"n_points": 64},
+                                           "waveguide": {"gamma": 1e-300, "length": 1e-10}}),
 }
-_SWEPT = st.one_of(st.floats(0.0, 3.0), st.floats(allow_nan=False, allow_infinity=False))
+# magnitudes out to 1e+-300 as well, whose squares and quotients leave the float range
+_SWEPT = st.one_of(st.floats(0.0, 3.0), st.floats(allow_nan=False, allow_infinity=False),
+                   st.builds(lambda m, e: m * 10.0 ** e, st.floats(-9.0, 9.0),
+                             st.integers(-300, 300)))
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from gaussian_reference import KEPT
 from sfwmsim import (ConfigError, FilterPair, FilterSpec, JointAmplitudeMatrix,
-                     ModelCompatibilityError, SpectralGrid, TemporalGrid, filtered_jta,
-                     filtered_jta_gaussian_series, filtered_jta_linear_gaussian,
-                     gaussian_time_kernel, jta_linear, jta_simple, overlap)
+                     SpectralGrid, TemporalGrid, filtered_jta, gaussian_time_kernel,
+                     jta_linear, jta_simple, overlap)
 from sfwmsim.filtering import DELTA_KERNEL_WEIGHT
-from conftest import make_filters, make_grid, make_pump, make_waveguide
+from conftest import (make_filters, make_grid, make_pump, make_waveguide,
+                      reference_coefficients, reference_jta)
 
 TWO_PI = 2.0 * math.pi
 
@@ -89,7 +90,7 @@ def test_convolved_linear_jta_matches_closed_form(lam, mu):
     grid = make_grid(pump, [filters.signal, filters.idler], n_points=256)
     diag = jta_linear(pump, wg, grid)
     got = filtered_jta(diag, filters)
-    want = filtered_jta_linear_gaussian(pump, wg, filters, grid)
+    want = reference_jta(pump, wg, filters, grid)
     scale = np.abs(want.values).max()
     assert np.abs(got.values - want.values).max() / scale < 1e-8
 
@@ -98,10 +99,13 @@ def test_closed_form_axis_roles():
     """lambda multiplies the idler coordinate, mu the signal coordinate."""
     pump = make_pump(phi_max=0.1)
     wg = make_waveguide()
-    grid = make_grid(pump, [FilterSpec(sigma_f=0.25)], n_points=64)
-    asym = filtered_jta_linear_gaussian(pump, wg, make_filters(2.0, 0.5, pump), grid)
-    swapped = filtered_jta_linear_gaussian(pump, wg, make_filters(0.5, 2.0, pump), grid)
+    grid = make_grid(pump, [FilterSpec(sigma_f=0.25)], n_points=256)
+    diag = jta_linear(pump, wg, grid)
+    asym = filtered_jta(diag, make_filters(2.0, 0.5, pump))
+    swapped = filtered_jta(diag, make_filters(0.5, 2.0, pump))
     np.testing.assert_allclose(asym.values, swapped.values.T, rtol=1e-13)
+    want = reference_jta(pump, wg, make_filters(2.0, 0.5, pump), grid)
+    assert np.abs(asym.values - want.values).max() / np.abs(want.values).max() < 1e-12
     # along tau_s with tau_i = 0 the decay rate is (2 mu^2 + 1) sigma_w^2 / D0
     lam, mu, sw = 2.0, 0.5, pump.sigma_w
     d0 = 2 * lam ** 2 * mu ** 2 + lam ** 2 + mu ** 2
@@ -148,23 +152,15 @@ def test_fully_unfiltered_convolution_rejected():
         filtered_jta(diag, pair)
 
 
-def test_closed_forms_need_both_filters():
-    pump = make_pump()
-    grid = make_grid(pump, n_points=64)
-    pair = FilterPair(FilterSpec(sigma_f=0.25), FilterSpec.unfiltered())
-    with pytest.raises(ConfigError):
-        filtered_jta_linear_gaussian(pump, make_waveguide(), pair, grid)
-
-
 @pytest.mark.parametrize("phi,n_terms", [(0.5, 18), (1.0, 24), (2.0, 34)])
 def test_series_truncation_counts(phi, n_terms):
-    """Terms are added while (3 phi)^n / n! >= 1e-12."""
+    """The reference's simple_sxpm coefficients are i phi (3i phi)^n / n!, and
+    n_terms of them are at least 1e-12 of the first."""
     pump = make_pump(phi_max=phi)
-    filters = make_filters(2.0, 2.0, pump)
-    grid = make_grid(pump, [filters.signal, filters.idler], n_points=64)
-    res = filtered_jta_gaussian_series(pump, make_waveguide(), filters, grid)
-    assert res.n_terms == n_terms
-    assert res.residual_bound < 1e-10
+    c = reference_coefficients(pump, make_waveguide(), "simple_sxpm")[1:KEPT]
+    want = [1j * phi * (3j * phi) ** n / math.factorial(n) for n in range(KEPT - 1)]
+    np.testing.assert_allclose(c, want, rtol=0, atol=1e-13 * np.abs(c).max())
+    assert np.count_nonzero(np.abs(c / c[0]) >= 1e-12) == n_terms
 
 
 def test_series_first_term_is_the_linear_closed_form():
@@ -172,9 +168,9 @@ def test_series_first_term_is_the_linear_closed_form():
     wg = make_waveguide()
     filters = make_filters(2.0, 2.0, pump)
     grid = make_grid(pump, [filters.signal, filters.idler], n_points=64)
-    res = filtered_jta_gaussian_series(pump, wg, filters, grid)
-    want = filtered_jta_linear_gaussian(pump, wg, filters, grid)
-    np.testing.assert_allclose(res.matrix.values, want.values, rtol=1e-8)
+    res = reference_jta(pump, wg, filters, grid, "simple_sxpm")
+    want = reference_jta(pump, wg, filters, grid)
+    np.testing.assert_allclose(res.values, want.values, rtol=1e-8)
 
 
 def test_series_agrees_with_direct_convolution():
@@ -182,20 +178,7 @@ def test_series_agrees_with_direct_convolution():
     wg = make_waveguide()
     filters = make_filters(2.0, 2.0, pump)
     grid = make_grid(pump, [filters.signal, filters.idler], n_points=128)
-    res = filtered_jta_gaussian_series(pump, wg, filters, grid)
+    res = reference_jta(pump, wg, filters, grid, "simple_sxpm")
     direct = filtered_jta(jta_simple(pump, wg, grid), filters)
-    num = np.linalg.norm(res.matrix.values - direct.values)
+    num = np.linalg.norm(res.values - direct.values)
     assert num / np.linalg.norm(direct.values) < 1e-6
-
-
-def test_series_guards():
-    pump = make_pump(phi_max=0.5)
-    filters = make_filters(2.0, 2.0, pump)
-    grid = make_grid(pump, [filters.signal, filters.idler], n_points=64)
-    with pytest.raises(ConfigError):
-        filtered_jta_gaussian_series(pump, make_waveguide(), filters, grid, tol=0.0)
-    with pytest.raises(ModelCompatibilityError):
-        filtered_jta_gaussian_series(pump, make_waveguide(alpha=0.1), filters, grid)
-    one_sided = FilterPair(FilterSpec(sigma_f=0.25), FilterSpec.unfiltered())
-    with pytest.raises(ConfigError):
-        filtered_jta_gaussian_series(pump, make_waveguide(), one_sided, grid)

@@ -8,10 +8,9 @@ evaluates every one of the N^4 terms and so stays usable up to N = 64.
 import numpy as np
 import pytest
 
-from sfwmsim import (filtered_jta_linear_gaussian, jta_linear, jta_simple, jta_sinc,
-                     overlap, purity_quadrature, purity_schmidt)
+from sfwmsim import jta_linear, jta_simple, jta_sinc, overlap, purity_quadrature, purity_schmidt
 from sfwmsim.metrics import fourfold_sum
-from conftest import make_filters, make_grid, make_pump, make_waveguide
+from conftest import make_filters, make_grid, make_pump, make_waveguide, reference_jta
 
 
 def _reference_loop(v, os, oi):
@@ -75,5 +74,5 @@ def test_purity_quadrature_matches_schmidt_on_a_coarse_grid():
     grid = make_grid(pump, [filters.signal, filters.idler], n_points=64)
     diag = jta_linear(pump, wg, grid)
     p = purity_quadrature(diag, filters)
-    matrix = filtered_jta_linear_gaussian(pump, wg, filters, grid)
+    matrix = reference_jta(pump, wg, filters, grid)
     assert p == pytest.approx(purity_schmidt(matrix).purity, abs=2e-3)

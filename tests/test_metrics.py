@@ -4,17 +4,19 @@ import warnings
 import numpy as np
 import pytest
 
+import gaussian_reference
 import sfwmsim.metrics
 from sfwmsim import (AccuracyWarning, ConfigError, DegenerateInputError,
                      DiagonalJTA, FilterPair, FilterSpec, PumpPulse,
                      TemporalGrid, UndefinedEfficiencyError, compute_pair_metrics,
-                     filtered_jta, filtered_jta_linear_gaussian, gaussian_eta,
-                     gaussian_nu, gaussian_purity, heralding_efficiency,
-                     gaussian_time_kernel, jta_general, jta_linear, jta_simple,
-                     jta_sinc, overlap, pair_probability, purity_quadrature,
-                     purity_schmidt, schmidt_mode_count, single_sided_eta,
-                     single_sided_purity, validate_low_excitation)
-from conftest import filter_for_ratio, make_filters, make_grid, make_pump, make_waveguide
+                     effective_length, filtered_jta, gaussian_eta, gaussian_nu,
+                     gaussian_purity, heralding_efficiency, gaussian_time_kernel,
+                     jta_general, jta_linear, jta_simple, jta_sinc, overlap, pair_probability,
+                     purity_quadrature, purity_schmidt, schmidt_mode_count,
+                     single_sided_eta, single_sided_purity, validate_low_excitation)
+from sfwmsim.jta import build_diagonal_jta
+from conftest import (filter_for_ratio, make_filters, make_grid, make_pump, make_waveguide,
+                      reference_coefficients, reference_jta)
 
 PURITY_22 = math.sqrt(80.0 / 81.0)  # lambda = mu = 2
 ETA_01_22 = 5.590169943749474e-4    # phi = 0.1, lambda = mu = 2
@@ -237,7 +239,7 @@ def test_single_sided_purity_zero_amplitude_raises():
 
 def test_schmidt_purity_oracle():
     pump, wg, filters, grid = _linear_setup(0.1, 2.0, 2.0, n_points=256)
-    matrix = filtered_jta_linear_gaussian(pump, wg, filters, grid)
+    matrix = reference_jta(pump, wg, filters, grid)
     dec = purity_schmidt(matrix)
     assert dec.purity == pytest.approx(PURITY_22, abs=1e-6)
     assert np.sum(dec.weights ** 2) == pytest.approx(1.0, rel=1e-12)
@@ -458,3 +460,60 @@ def test_half_size_kernel_factor_matches_the_dense_kernel(ratio, n_points):
     lam = np.sort(np.linalg.norm(p, axis=0))[::-1]
     full = np.linalg.eigvalsh(dense)[::-1][:lam.size]
     assert np.max(np.abs(lam - full)) <= 1e-14 * full[0]
+
+
+def _reference_metrics(pump, wg, filters, model):
+    """eta, purity and nu of a tier from the Gaussian-series reference.
+
+    eta and the purity come from its filtered JSA sampled over +-5 rad/ps.
+    nu's signal-only denominator sigma_f / sqrt(2 pi) * int |JTA|^2 comes from
+    its diagonal sampled over +-12 ps: summing the closed form
+    sum_mn c_m conj(c_n) sqrt(pi / (a_m + a_n)) instead loses up to 4e-11 to
+    cancellation at phi = 2, where the c_n far exceed the amplitude.
+    """
+    c = reference_coefficients(pump, wg, model)
+    w, tau = np.linspace(-5.0, 5.0, 401), np.linspace(-12.0, 12.0, 481)
+    sf = filters.signal.sigma_f
+    jsa = gaussian_reference.filtered_jsa(c, pump.sigma_t, sf, filters.idler.sigma_f, w, w)
+    eta = float(np.sum(np.abs(jsa) ** 2)) * (w[1] - w[0]) ** 2
+    diag = gaussian_reference.jta(c, pump.sigma_t, tau)
+    signal_only = (sf / math.sqrt(2.0 * math.pi) * float(np.sum(np.abs(diag) ** 2))
+                   * (tau[1] - tau[0]))
+    return eta, gaussian_reference.purity(jsa), eta / signal_only
+
+
+@pytest.mark.parametrize("phi", [0.5, 1.0, 1.5, 2.0])
+@pytest.mark.parametrize("model,waveguide", [
+    ("sinc", {"delta_beta0": 0.0}),
+    ("sinc", {"delta_beta0": 30.0}),
+    ("general_quadrature", {"alpha": 20.0, "alpha2_P": 5.0, "delta_beta0": 30.0}),
+], ids=["sinc-matched", "sinc-mismatched", "general_quadrature-lossy"])
+def test_pair_metrics_match_the_gaussian_series_reference(model, waveguide, phi):
+    pump = make_pump(phi_max=phi)
+    wg = make_waveguide(**waveguide)
+    # two-photon absorption puts a branch point of the tier map at
+    # p = -1 / (alpha2_P L_eff); the reference's circle |p| = 1.5 P0 must avoid it
+    assert wg.alpha2_P * pump.P0 * effective_length(wg.alpha, wg.length) <= 0.5
+    filters = make_filters(2.0, 2.0, pump)
+    grid = make_grid(pump, [filters.signal, filters.idler])
+    pm = compute_pair_metrics(build_diagonal_jta(model, pump, wg, grid), filters)
+    eta, purity, nu = _reference_metrics(pump, wg, filters, model)
+    assert pm.eta == pytest.approx(eta, rel=1e-10, abs=0.0)
+    assert pm.purity == pytest.approx(purity, rel=0.0, abs=1e-10)
+    assert pm.nu == pytest.approx(nu, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("phi,change", [(0.5, -2.6026e-4), (2.0, -1.5602e-2)])
+def test_phase_matched_sinc_purity_falls_below_the_linear_tier(phi, change):
+    """With ratio-2 filters the sinc tier at dbeta0 = 0 loses purity against the
+    linear one; package and reference agree on the change."""
+    pump = make_pump(phi_max=phi)
+    wg = make_waveguide()
+    filters = make_filters(2.0, 2.0, pump)
+    grid = make_grid(pump, [filters.signal, filters.idler])
+    got = {m: compute_pair_metrics(build_diagonal_jta(m, pump, wg, grid), filters).purity
+           for m in ("sinc", "linear")}
+    want = {m: _reference_metrics(pump, wg, filters, m)[1] for m in ("sinc", "linear")}
+    delta = got["sinc"] - got["linear"]
+    assert delta == pytest.approx(want["sinc"] - want["linear"], rel=0.0, abs=1e-10)
+    assert delta == pytest.approx(change, rel=1e-4)

@@ -32,3 +32,18 @@ def test_imports_are_used_and_exports_resolve_once():
     assert duplicates == []
     missing = [name for name in exported if not hasattr(sfwmsim, name)]
     assert missing == []
+
+
+def test_the_gaussian_reference_shares_no_code_with_the_package():
+    reference = Path(__file__).parent / "gaussian_reference.py"
+    tree = ast.parse(reference.read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    modules = {alias.name for node in imports if isinstance(node, ast.Import)
+               for alias in node.names}
+    modules |= {node.module for node in imports if isinstance(node, ast.ImportFrom)}
+    assert modules and all(node.level == 0 for node in imports
+                           if isinstance(node, ast.ImportFrom))
+    # conftest imports the package, so the reference may not import it either
+    assert {name.split(".")[0] for name in modules}.isdisjoint({"sfwmsim", "conftest"})
+    assert _unused_imports(reference) == []

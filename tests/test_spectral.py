@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from sfwmsim import (ConfigError, JointAmplitudeMatrix, SpectralGrid,
-                     TemporalGrid, filtered_jta_linear_gaussian,
-                     jsa_linear_gaussian, jsa_linear_unfiltered, jsa_to_jta,
-                     jta_linear, jta_to_jsa, marginal_spectrum,
-                     pair_probability, purity_schmidt)
-from conftest import make_filters, make_grid, make_pump, make_waveguide
+from sfwmsim import (ConfigError, FilterPair, FilterSpec, JointAmplitudeMatrix,
+                     SpectralGrid, TemporalGrid, filtered_jta, jsa_to_jta, jta_linear,
+                     jta_to_jsa, marginal_spectrum, pair_probability, purity_schmidt)
+from conftest import (make_filters, make_grid, make_pump, make_waveguide, reference_jsa,
+                      reference_jta)
 
 TWO_PI = 2.0 * math.pi
 
@@ -50,7 +49,7 @@ def test_transform_of_a_separable_gaussian_is_self_dual():
 
 def test_round_trip_error():
     pump, wg, filters, grid = _closed_form_setup()
-    mt = filtered_jta_linear_gaussian(pump, wg, filters, grid)
+    mt = reference_jta(pump, wg, filters, grid)
     back = jsa_to_jta(jta_to_jsa(mt))
     err = np.abs(back.values - mt.values).max() / np.abs(mt.values).max()
     assert err <= 1e-12
@@ -58,8 +57,8 @@ def test_round_trip_error():
 
 def test_transform_matches_spectral_closed_form():
     pump, wg, filters, grid = _closed_form_setup()
-    jsa = jta_to_jsa(filtered_jta_linear_gaussian(pump, wg, filters, grid))
-    closed = jsa_linear_gaussian(pump, wg, filters, jsa.grid_s)
+    jsa = jta_to_jsa(reference_jta(pump, wg, filters, grid))
+    closed = reference_jsa(pump, wg, filters, jsa.grid_s)
     scale = np.abs(closed.values).max()
     assert np.abs(jsa.values - closed.values).max() / scale < 1e-12
 
@@ -67,7 +66,7 @@ def test_transform_matches_spectral_closed_form():
 def test_parseval_and_pair_probability():
     """The squared norm of the filtered amplitude is the pair probability."""
     pump, wg, filters, grid = _closed_form_setup()
-    mt = filtered_jta_linear_gaussian(pump, wg, filters, grid)
+    mt = reference_jta(pump, wg, filters, grid)
     jsa = jta_to_jsa(mt)
     wt = grid.trapezoid_weights
     pt = float(np.sum(wt[:, None] * wt[None, :] * np.abs(mt.values) ** 2))
@@ -80,25 +79,28 @@ def test_parseval_and_pair_probability():
 
 def test_purity_is_domain_independent():
     pump, wg, filters, grid = _closed_form_setup()
-    mt = filtered_jta_linear_gaussian(pump, wg, filters, grid)
+    mt = reference_jta(pump, wg, filters, grid)
     p_time = purity_schmidt(mt).purity
     p_freq = purity_schmidt(jta_to_jsa(mt)).purity
     assert p_freq == pytest.approx(p_time, abs=1e-8)
 
 
 def test_spectral_closed_form_peak_value():
+    """The linear tier's JSA peaks at i phi / (2 sqrt(2 pi) sigma_w)."""
     pump, wg, filters, grid = _closed_form_setup()
-    sgrid = SpectralGrid.conjugate_to(grid)
-    jsa = jsa_linear_gaussian(pump, wg, filters, sgrid)
-    k0 = sgrid.n_points // 2
+    jsa = jta_to_jsa(filtered_jta(jta_linear(pump, wg, grid), filters))
+    k0 = grid.n_points // 2
     want = 1j * 0.1 / (2.0 * math.sqrt(TWO_PI) * pump.sigma_w)
     assert jsa.values[k0, k0] == pytest.approx(want, rel=1e-14)
+    assert reference_jsa(pump, wg, filters, jsa.grid_s).values[k0, k0] == pytest.approx(
+        want, rel=1e-14)
 
 
 def test_unfiltered_jsa_is_an_energy_ridge():
     pump, wg, _, grid = _closed_form_setup()
     sgrid = SpectralGrid.conjugate_to(grid)
-    jsa = jsa_linear_unfiltered(pump, wg, sgrid)
+    unfiltered = FilterPair(FilterSpec.unfiltered(), FilterSpec.unfiltered())
+    jsa = reference_jsa(pump, wg, unfiltered, sgrid)
     k0 = sgrid.n_points // 2
     # constant along delta_s + delta_i = 0
     assert jsa.values[k0 + 40, k0 - 40] == pytest.approx(jsa.values[k0, k0],
@@ -109,7 +111,7 @@ def test_unfiltered_jsa_is_an_energy_ridge():
 
 def test_marginal_variance_oracle():
     pump, wg, filters, grid = _closed_form_setup()
-    jsa = jta_to_jsa(filtered_jta_linear_gaussian(pump, wg, filters, grid))
+    jsa = jta_to_jsa(reference_jta(pump, wg, filters, grid))
     for axis in ("signal", "idler"):
         m = marginal_spectrum(jsa, axis=axis)
         om = jsa.grid_s.omega
@@ -119,7 +121,7 @@ def test_marginal_variance_oracle():
 
 def test_marginal_requires_frequency_domain():
     pump, wg, filters, grid = _closed_form_setup(n_points=64)
-    mt = filtered_jta_linear_gaussian(pump, wg, filters, grid)
+    mt = reference_jta(pump, wg, filters, grid)
     with pytest.raises(ConfigError):
         marginal_spectrum(mt)
     with pytest.raises(ConfigError):
@@ -128,7 +130,7 @@ def test_marginal_requires_frequency_domain():
 
 def test_domain_tag_enforcement():
     pump, wg, filters, grid = _closed_form_setup(n_points=64)
-    mt = filtered_jta_linear_gaussian(pump, wg, filters, grid)
+    mt = reference_jta(pump, wg, filters, grid)
     jsa = jta_to_jsa(mt)
     with pytest.raises(ConfigError):
         jta_to_jsa(jsa)
