@@ -321,12 +321,12 @@ def _load_sweep_spec(path, cfg: SimulationConfig):
                if param in _SWEEP_FIELDS and not no_phase else [])
 
     def point_errors(v, key):
-        return [f"sweep.{key}: {param} {v!r} gives {why}"
-                for why in scale_violations(_sweep_variant(cfg, param, v, cfg.model))]
-    # each scale holds on an interval of the swept value, so a value can fail
-    # only if the smallest or the largest one does
-    if checked and point_errors(*min(checked)) + point_errors(*max(checked)):
-        errors += [e for v, key in checked for e in point_errors(v, key)]
+        try:
+            whys = scale_violations(_sweep_variant(cfg, param, v, cfg.model))
+        except ConfigError as exc:  # a field the point cannot even be built with
+            whys = exc.violations
+        return [f"sweep.{key}: {param} {v!r} gives {why}" for why in whys]
+    errors += [e for v, key in checked for e in point_errors(v, key)]
     if errors:
         raise violations_error("sweep", errors, text, root="sweep")
     return param, values, models

@@ -3,6 +3,7 @@ import csv
 import itertools
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -663,6 +664,8 @@ _SWEEP_CONFIGS = {
                                     "waveguide": {"gamma": 0.0, "length": 1.0}}),
     "gamma_length_tiny": config_from_dict({**BASE, "grid": {"n_points": 64},
                                            "waveguide": {"gamma": 1e-300, "length": 1e-10}}),
+    "sigma_t_large": config_from_dict({**BASE, "grid": {"n_points": 64},
+                                       "pump": {**BASE["pump"], "sigma_t": 1e100}}),
 }
 # magnitudes out to 1e+-300 as well, whose squares and quotients leave the float range
 _SWEPT = st.one_of(st.floats(0.0, 3.0), st.floats(allow_nan=False, allow_infinity=False),
@@ -682,14 +685,16 @@ _SWEPT = st.one_of(st.floats(0.0, 3.0), st.floats(allow_nan=False, allow_infinit
 def test_every_point_of_an_accepted_sweep_is_a_valid_config(config, parameter, points,
                                                            models):
     # the spec reader is the only check a sweep makes, so it must admit no
-    # point that validate_config would reject
+    # point that validate_config would reject, and anchor each problem it finds
     cfg = _SWEEP_CONFIGS[config]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "sweep.json"
         path.write_text(json.dumps({"parameter": parameter, **points, "models": models}))
         try:
             param, values, accepted = sfwmsim.cli._load_sweep_spec(path, cfg)
-        except ConfigError:
+        except ConfigError as exc:
+            assert str(exc).startswith("invalid sweep:\n")
+            assert all(re.match(r"line \d+: sweep\.", v) for v in exc.violations), exc
             return
     for value, model in itertools.product(values, accepted):
         assert validate_config(sfwmsim.cli._sweep_variant(cfg, param, value, model)) == []
