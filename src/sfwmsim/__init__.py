@@ -8,18 +8,16 @@ rad/ps, and the nonlinear parameter gamma in 1/(W m).
 
 from .config import (MODEL_NAMES, RegimeCheckSpec, SimulationConfig,
                      config_from_dict, load_config, validate_config)
-from .errors import (AccuracyError, AccuracyWarning, ConfigError,
-                     DegenerateInputError, ModelCompatibilityError,
-                     SimulationError, UndefinedEfficiencyError)
+from .errors import (AccuracyError, ConfigError, DegenerateInputError,
+                     ModelCompatibilityError, SimulationError)
 from .filtering import (FilterPair, FilterSpec, JointAmplitudeMatrix, filtered_jta,
                         gaussian_time_kernel, overlap)
 from .grids import SpectralGrid, TemporalGrid, build_temporal_grid
-from .jta import (DiagonalJTA, jta_general, jta_linear, jta_simple, jta_sinc)
+from .jta import DiagonalJTA, build_diagonal_jta
 from .metrics import (LOW_EXCITATION_BOUND, PairMetrics, SchmidtDecomposition,
                       compute_pair_metrics, gaussian_eta, gaussian_nu,
-                      gaussian_purity, heralding_efficiency, pair_probability,
-                      purity_quadrature, purity_schmidt, schmidt_mode_count,
-                      single_sided_eta, single_sided_purity,
+                      gaussian_purity, purity_quadrature, purity_schmidt,
+                      schmidt_mode_count, single_sided_eta, single_sided_purity,
                       validate_low_excitation)
 from .pump import (Material, ModeProfile, PumpPulse, RegimeCheckResult,
                    Waveguide, check_free_carrier_regime, effective_area,
@@ -30,21 +28,19 @@ from .spectral import jsa_to_jta, jta_to_jsa, marginal_spectrum
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccuracyError", "AccuracyWarning", "ConfigError", "DegenerateInputError",
+    "AccuracyError", "ConfigError", "DegenerateInputError",
     "DiagonalJTA", "FilterPair", "FilterSpec", "JointAmplitudeMatrix",
     "LOW_EXCITATION_BOUND", "MODEL_NAMES", "Material", "ModeProfile",
     "ModelCompatibilityError",
     "PairMetrics", "PumpPulse", "RegimeCheckResult", "RegimeCheckSpec",
     "SchmidtDecomposition", "SimulationConfig",
     "SimulationError", "SpectralGrid", "TemporalGrid",
-    "UndefinedEfficiencyError", "Waveguide", "build_temporal_grid",
+    "Waveguide", "build_diagonal_jta", "build_temporal_grid",
     "check_free_carrier_regime", "compute_pair_metrics", "config_from_dict",
     "effective_area", "effective_length", "filtered_jta",
     "gaussian_eta", "gaussian_nu", "gaussian_purity", "gaussian_time_kernel",
-    "heralding_efficiency",
-    "jsa_to_jta", "jta_general", "jta_linear", "jta_simple", "jta_sinc",
-    "jta_to_jsa", "load_config", "marginal_spectrum", "nonlinear_parameter",
-    "nonlinear_phase", "overlap", "pair_probability",
+    "jsa_to_jta", "jta_to_jsa", "load_config", "marginal_spectrum",
+    "nonlinear_parameter", "nonlinear_phase", "overlap",
     "phi_max", "propagate_power", "pump_power_profile", "purity_quadrature",
     "purity_schmidt", "schmidt_mode_count", "single_sided_eta",
     "single_sided_purity", "validate_config",

@@ -16,7 +16,6 @@ import json
 import math
 import operator
 import sys
-import warnings as _warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,12 +23,11 @@ import numpy as np
 from .config import (SimulationConfig, _anchor, _model_error, _unknown_keys, _value,
                      load_config, number_error, read_json, scale_violations,
                      violations_error)
-from .errors import AccuracyError, AccuracyWarning, ConfigError
+from .errors import AccuracyError, ConfigError
 from .filtering import FilterPair, FilterSpec, JointAmplitudeMatrix, filtered_jta
 from .grids import build_temporal_grid
 from .jta import build_diagonal_jta, lossless_violation
-from .metrics import (compute_pair_metrics, schmidt_mode_count,
-                      validate_low_excitation)
+from .metrics import compute_pair_metrics, schmidt_mode_count
 from .pump import check_free_carrier_regime, phi_max
 from .spectral import jta_to_jsa, marginal_spectrum
 
@@ -129,24 +127,20 @@ def read_matrix_coords(path):
 
 
 def _evaluate(cfg: SimulationConfig, conjugated: bool, literal_z: bool):
-    """Run the model + metrics pipeline; returns (diag, filters, metrics, warnings)."""
+    """Run the model + metrics pipeline; returns (diag, filters, metrics, notes).
+
+    A figure that overflows to inf or nan (a peak phase near the square root
+    of the largest double) is an AccuracyError, never a reported number.
+    """
     diag = build_diagonal_jta(cfg.model, cfg.pump, cfg.waveguide, cfg.grid, literal_z)
     filters = FilterPair(cfg.signal_filter, cfg.idler_filter)
-    notes: list[str] = []
-    with _warnings.catch_warnings(record=True) as caught:
-        _warnings.simplefilter("always", AccuracyWarning)
-        pm = compute_pair_metrics(diag, filters, conjugated=conjugated,
-                                  verify_resolution=True)
-    notes.extend(str(w.message) for w in caught
-                 if issubclass(w.category, AccuracyWarning))
-    zero_pump = pm.schmidt_weights is None
-    if zero_pump:
-        notes.append("zero pump power: conditional quantities are undefined")
-    elif pm.nu is None and not filters.signal.is_gaussian:
-        notes.append("nu: undefined without a signal filter")
-    if not pm.low_excitation_ok:
-        notes.append(validate_low_excitation(pm.eta_conjugated)[1])
-    return diag, filters, pm, notes
+    pm = compute_pair_metrics(diag, filters, conjugated=conjugated)
+    for name in ("eta", "eta_imag", "purity", "nu"):
+        value = getattr(pm, name)
+        if value is not None and not math.isfinite(value):
+            raise AccuracyError(f"{name} is {value!r}: the pair amplitude overflows "
+                                "double precision")
+    return diag, filters, pm, list(pm.notes)
 
 
 def _regime_report(cfg: SimulationConfig):
@@ -243,7 +237,7 @@ def _cmd_simulate(args) -> int:
 
     doc = _metrics_document(cfg, pm, notes, regime_result, args)
     with open(out / "metrics.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
+        json.dump(doc, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
     for note in notes:

@@ -88,11 +88,15 @@ def validate_config(cfg: SimulationConfig) -> list[str]:
 
 def scale_violations(cfg: SimulationConfig) -> list[str]:
     """The scales of a config that leave the floating-point range: the peak
-    phase gamma * length * P0 must be finite, and the pulse width, each gaussian
-    bandwidth and then the grid's half-width, which they size, must each have a
-    finite, nonzero square."""
-    errors = [] if math.isfinite(phi_max(cfg.pump, cfg.waveguide)) else [
-        "pump.P0: the peak phase gamma * length * P0 is not finite"]
+    phase gamma * length * P0 must have a finite square, and the pulse width,
+    each gaussian bandwidth and then the grid's half-width, which they size,
+    must each have a finite, nonzero square."""
+    phase = phi_max(cfg.pump, cfg.waveguide)
+    errors = []
+    if not math.isfinite(phase):
+        errors.append("pump.P0: the peak phase gamma * length * P0 is not finite")
+    elif phase * phase == math.inf:
+        errors.append(f"pump.P0: the peak phase {phase!r} squared overflows")
     scales = [("pump.sigma_t", "", cfg.pump.sigma_t)] + [
         (f"filters.{side}.sigma_f", "", filt.sigma_f) for side, filt
         in (("signal", cfg.signal_filter), ("idler", cfg.idler_filter)) if filt.is_gaussian]

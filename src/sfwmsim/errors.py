@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 from __future__ import annotations
 
@@ -35,13 +35,5 @@ class AccuracyError(SimulationError):
         self.fine = fine
 
 
-class AccuracyWarning(UserWarning):
-    """A result changed more than tolerated under grid refinement."""
-
-
 class DegenerateInputError(SimulationError):
     """Input is identically zero (or otherwise carries no usable signal)."""
-
-
-class UndefinedEfficiencyError(SimulationError):
-    """Heralding efficiency requested where its defining ratio does not exist."""

@@ -53,15 +53,20 @@ class DiagonalJTA:
 # lossless, so literal_z (which matters only under loss) does not enter them.
 
 def _linear_values(wg, p, literal_z):
+    """Weak-pump amplitude i gamma P L: purely imaginary, no phase structure."""
     return 1j * wg.gamma * wg.length * p
 
 
 def _simple_values(wg, p, literal_z):
+    """Phase-matched amplitude: the linear tier times exp(3i gamma P L); any
+    phase mismatch on the waveguide is treated as zero."""
     phase = wg.gamma * wg.length * p
     return 1j * phase * np.exp(3j * phase)
 
 
 def _sinc_values(wg, p, literal_z):
+    """Amplitude with the phase-mismatch envelope:
+    i gamma P L exp(i(3 gamma P L + dbeta0 L / 2)) sinc((dbeta0 - 2 gamma P) L / 2)."""
     gpl = wg.gamma * wg.length * p
     half_mismatch = (wg.delta_beta0 - 2.0 * wg.gamma * p) * wg.length / 2.0
     # np.sinc is normalized: this is the unnormalized sin(x)/x with sinc(0) = 1
@@ -88,6 +93,11 @@ def _mirror(v: np.ndarray) -> np.ndarray:
 
 
 def _general_values(wg, p, literal_z):
+    """Amplitude integrated over the waveguide by Gauss-Legendre quadrature,
+    valid under loss and two-photon absorption. The integral is evaluated at
+    ``QUADRATURE_ORDER`` and at twice that order and the latter returned; a
+    relative change above ``QUADRATURE_TOL`` between the two raises an
+    AccuracyError carrying both estimates."""
     p_col = p[:, None]
     prefactor = 1j * wg.gamma * np.exp(4j * nonlinear_phase(p, wg, wg.length))
     estimates = []
@@ -135,36 +145,3 @@ def build_diagonal_jta(model: str, pulse: PumpPulse, wg: Waveguide,
     p0 = pump_power_profile(pulse, grid.tau[:grid.n_points // 2 + 1])
     return DiagonalJTA(grid, _mirror(_TIERS[model](wg, p0, literal_z)))
 
-
-def jta_linear(pulse: PumpPulse, wg: Waveguide, grid: TemporalGrid) -> DiagonalJTA:
-    """Weak-pump amplitude i*gamma*P(0,tau)*L: purely imaginary, no phase structure."""
-    return build_diagonal_jta("linear", pulse, wg, grid)
-
-
-def jta_simple(pulse: PumpPulse, wg: Waveguide, grid: TemporalGrid) -> DiagonalJTA:
-    """Phase-matched lossless amplitude with the pump-induced phase factor.
-
-    Same magnitude as the linear tier; each sample gains exp(3i gamma P L).
-    Any phase mismatch on the waveguide is treated as zero here.
-    """
-    return build_diagonal_jta("simple_sxpm", pulse, wg, grid)
-
-
-def jta_sinc(pulse: PumpPulse, wg: Waveguide, grid: TemporalGrid) -> DiagonalJTA:
-    """Lossless amplitude with explicit phase-mismatch envelope.
-
-    i*gamma*P*L * exp(i(3 gamma P L + dbeta0 L / 2)) * sinc((dbeta0 - 2 gamma P) L / 2).
-    """
-    return build_diagonal_jta("sinc", pulse, wg, grid)
-
-
-def jta_general(pulse: PumpPulse, wg: Waveguide, grid: TemporalGrid,
-                literal_z: bool = False) -> DiagonalJTA:
-    """Amplitude from per-sample Gauss-Legendre integration over the waveguide.
-
-    Valid for arbitrary loss/two-photon absorption. The integral is evaluated
-    at ``QUADRATURE_ORDER`` and at twice that order; the doubled-order result
-    is returned, and a relative change above 1e-8 between the two raises an
-    AccuracyError carrying both estimates.
-    """
-    return build_diagonal_jta("general_quadrature", pulse, wg, grid, literal_z)

@@ -11,13 +11,11 @@ from __future__ import annotations
 import functools
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (AccuracyWarning, ConfigError, DegenerateInputError,
-                     UndefinedEfficiencyError)
+from .errors import ConfigError, DegenerateInputError
 from .filtering import (DELTA_KERNEL_WEIGHT, FilterPair, FilterSpec, JointAmplitudeMatrix,
                         gaussian_time_kernel, overlap)
 from .grids import TemporalGrid
@@ -32,7 +30,8 @@ _KERNEL_EIG_CUT = 1e-16
 
 @dataclass(frozen=True)
 class PairMetrics:
-    """Figures of merit for one configuration."""
+    """Figures of merit for one configuration, with the caveats that bound
+    how far they can be trusted (``notes``, in a fixed order)."""
 
     eta: float
     purity: float | None
@@ -41,6 +40,7 @@ class PairMetrics:
     low_excitation_ok: bool
     eta_conjugated: float  # the physical eta, equal to ``eta`` unless unconjugated
     eta_imag: float | None = None
+    notes: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -89,53 +89,26 @@ def _quadratic_form(diag: DiagonalJTA, kappa: np.ndarray, conjugated: bool,
     return complex(total) / (4.0 * math.pi ** 2)
 
 
-def _both_forms(diag: DiagonalJTA, filters: FilterPair, conjugated: bool,
-                verify_resolution: bool):
-    """The conjugated eta and, unless ``conjugated``, the bilinear form, both
-    from one lag vector kappa(d) = Os(sqrt(2) d dt) Oi(sqrt(2) d dt) (two
-    gaussian filters).
+def _both_forms(diag: DiagonalJTA, filters: FilterPair, conjugated: bool):
+    """The conjugated eta, unless ``conjugated`` the bilinear form, and the
+    resolution note (or None), all from one lag vector
+    kappa(d) = Os(sqrt(2) d dt) Oi(sqrt(2) d dt) (two gaussian filters).
 
-    The resolution sentinel checks the conjugated eta; it skips an eta that
-    underflows, which callers report as zero.
+    The resolution sentinel recomputes the conjugated eta on every second
+    sample and notes a relative change above 1e-6; it skips an eta that
+    underflows, which is reported as zero.
     """
     lags = _overlap_lags(diag.grid)
     kappa = overlap(filters.signal, lags) * overlap(filters.idler, lags)
     eta = _quadratic_form(diag, kappa, True)
-    if (verify_resolution and eta >= sys.float_info.min
-            and diag.grid.n_points // 2 >= 8):
+    note = None
+    if eta >= sys.float_info.min and diag.grid.n_points // 2 >= 8:
         eta_c = _quadratic_form(diag, kappa, True, step=2)
         scale = max(eta, abs(eta_c))
         if abs(eta - eta_c) > 1e-6 * scale:
-            warnings.warn(
-                f"pair probability changed by {abs(eta - eta_c) / scale:.2e} "
-                "relative under 2x grid coarsening; grid may be under-resolved",
-                AccuracyWarning, stacklevel=3)
-    return eta, (None if conjugated else _quadratic_form(diag, kappa, False))
-
-
-def pair_probability(diag: DiagonalJTA, filters: FilterPair, conjugated: bool = True,
-                     verify_resolution: bool = False):
-    """Probability of generating (and keeping) one filtered pair per pulse.
-
-    Hermitian quadratic form (1/4 pi^2) v* K v with v the weighted amplitude
-    samples and K the product of the two overlap matrices, evaluated as a
-    sum over the lags of that Toeplitz kernel. ``conjugated=False``
-    evaluates the plain bilinear form instead and returns a complex number;
-    it is kept for comparison only, since it is not phase-independent.
-
-    With ``verify_resolution`` the conjugated value is recomputed on every
-    second sample and an AccuracyWarning is emitted if the two differ by more
-    than 1e-6 relative.
-    """
-    sig, idl = filters.signal, filters.idler
-    if not sig.is_gaussian and not idl.is_gaussian:
-        raise ConfigError("pair probability needs at least one gaussian filter")
-    if not idl.is_gaussian:
-        return single_sided_eta(diag, sig)
-    if not sig.is_gaussian:
-        return single_sided_eta(diag, idl)
-    eta, raw = _both_forms(diag, filters, conjugated, verify_resolution)
-    return eta if conjugated else raw
+            note = (f"pair probability changed by {abs(eta - eta_c) / scale:.2e} "
+                    "relative under 2x grid coarsening; grid may be under-resolved")
+    return eta, (None if conjugated else _quadratic_form(diag, kappa, False)), note
 
 
 def single_sided_eta(diag: DiagonalJTA, signal_filter: FilterSpec) -> float:
@@ -359,25 +332,6 @@ def gaussian_nu(lam: float, mu: float) -> float:
     return lam / math.sqrt(denom_sq)
 
 
-def heralding_efficiency(diag: DiagonalJTA, filters: FilterPair) -> float:
-    """Probability the heralded photon survives idler filtering.
-
-    Defined as the ratio of the doubly filtered pair probability to the
-    signal-only one; exactly 1 when the idler is unfiltered.
-    """
-    if not filters.signal.is_gaussian:
-        raise UndefinedEfficiencyError(
-            "heralding efficiency needs a gaussian signal filter")
-    if not filters.idler.is_gaussian:
-        return 1.0
-    denominator = single_sided_eta(diag, filters.signal)
-    if denominator == 0.0:
-        raise UndefinedEfficiencyError(
-            "signal-only pair probability is zero; efficiency ratio undefined")
-    numerator = pair_probability(diag, filters, conjugated=True)
-    return float(numerator / denominator)
-
-
 def validate_low_excitation(eta: float) -> tuple[bool, str]:
     """Flag pair probabilities outside the first-order validity regime."""
     if eta <= LOW_EXCITATION_BOUND:
@@ -387,28 +341,49 @@ def validate_low_excitation(eta: float) -> tuple[bool, str]:
 
 
 def compute_pair_metrics(diag: DiagonalJTA, filters: FilterPair,
-                         conjugated: bool = True,
-                         verify_resolution: bool = False) -> PairMetrics:
-    """Assemble the standard metric set for one configuration.
+                         conjugated: bool = True) -> PairMetrics:
+    """The pair probability eta, heralded purity and heralding efficiency nu
+    of one configuration, with the notes that qualify them.
 
-    An eta that is zero or underflows (zero or vanishingly weak pump) is
-    reported as eta 0 with the conditional quantities unset rather than
-    raising or dividing by a subnormal, which keeps sweeps through zero
-    power usable. Both forms of eta come from one kernel, and nu reuses the
-    conjugated one: it is the same ratio ``heralding_efficiency`` returns.
-    The Schmidt spectrum comes from the cached kernel factors, never from
-    the dense filtered amplitude.
+    eta is the Hermitian quadratic form (1/4 pi^2) v* K v, with v the
+    weighted amplitude samples and K the product of the two overlap
+    matrices, summed over the lags of that Toeplitz kernel. With one side
+    unfiltered it is the single-sided form, which depends on |JTA| only;
+    with neither filtered it diverges, a ConfigError. ``conjugated=False``
+    reports the plain bilinear form v K v instead (its real part as eta, its
+    imaginary part as eta_imag); it is kept for comparison only, since it is
+    not phase-independent, and the other figures still use the conjugated eta.
+
+    nu is the ratio of the doubly filtered eta to the signal-only one: 1
+    with the idler unfiltered, None with the signal unfiltered. The Schmidt
+    spectrum comes from the cached kernel factors, never from the dense
+    filtered amplitude. An eta that is zero or underflows (zero or
+    vanishingly weak pump) is reported as eta 0 with the conditional
+    quantities unset rather than dividing by a subnormal, which keeps sweeps
+    through zero power usable.
+
+    ``notes`` holds, in this order: the resolution note (both sides
+    filtered, and eta recomputed on every second sample changes by more than
+    1e-6 relative), then the zero-pump note or the note that nu is
+    undefined, then the low-excitation note.
     """
     sig, idl = filters.signal, filters.idler
+    if not (sig.is_gaussian or idl.is_gaussian):
+        raise ConfigError("pair probability needs at least one gaussian filter")
     both = sig.is_gaussian and idl.is_gaussian
+    filtered = sig if sig.is_gaussian else idl  # the side a single-sided form uses
+    notes = []
     if both:
-        eta_phys, raw = _both_forms(diag, filters, conjugated, verify_resolution)
+        eta_phys, raw, resolution = _both_forms(diag, filters, conjugated)
+        if resolution is not None:
+            notes.append(resolution)
     else:
-        # raises ConfigError when neither side is gaussian
-        eta_phys = pair_probability(diag, filters)
+        eta_phys = single_sided_eta(diag, filtered)
     if eta_phys < sys.float_info.min:
+        notes.append("zero pump power: conditional quantities are undefined")
         return PairMetrics(eta=0.0, purity=None, nu=None, schmidt_weights=None,
-                           low_excitation_ok=True, eta_conjugated=0.0)
+                           low_excitation_ok=True, eta_conjugated=0.0,
+                           notes=tuple(notes))
 
     schmidt = purity_schmidt(_schmidt_core(diag, filters))
     eta_report, eta_imag = eta_phys, None
@@ -418,10 +393,14 @@ def compute_pair_metrics(diag: DiagonalJTA, filters: FilterPair,
         purity = schmidt.purity
         nu = eta_phys / single_sided_eta(diag, sig)
     else:
-        purity = single_sided_purity(diag, sig if sig.is_gaussian else idl)
+        purity = single_sided_purity(diag, filtered)
         nu = 1.0 if sig.is_gaussian else None
+        if nu is None:
+            notes.append("nu: undefined without a signal filter")
 
-    ok, _ = validate_low_excitation(eta_phys)
+    ok, message = validate_low_excitation(eta_phys)
+    if not ok:
+        notes.append(message)
     return PairMetrics(eta=float(eta_report), purity=purity, nu=nu,
                        schmidt_weights=schmidt.weights, low_excitation_ok=ok,
-                       eta_conjugated=eta_phys, eta_imag=eta_imag)
+                       eta_conjugated=eta_phys, eta_imag=eta_imag, notes=tuple(notes))

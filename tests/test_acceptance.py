@@ -13,15 +13,12 @@ import numpy as np
 import pytest
 
 import gaussian_reference
-from sfwmsim import (FilterPair, FilterSpec, build_temporal_grid,
-                     check_free_carrier_regime, effective_length, filtered_jta,
-                     gaussian_eta, gaussian_nu, gaussian_purity,
-                     heralding_efficiency, jsa_to_jta,
-                     jta_general, jta_linear, jta_simple, jta_sinc, jta_to_jsa,
-                     nonlinear_phase, pair_probability, propagate_power,
-                     pump_power_profile, purity_quadrature, purity_schmidt,
-                     single_sided_eta, single_sided_purity,
-                     validate_low_excitation)
+from sfwmsim import (FilterPair, FilterSpec, build_diagonal_jta, build_temporal_grid,
+                     check_free_carrier_regime, compute_pair_metrics, effective_length,
+                     filtered_jta, gaussian_eta, gaussian_nu, gaussian_purity, jsa_to_jta,
+                     jta_to_jsa, nonlinear_phase, propagate_power, pump_power_profile,
+                     purity_quadrature, purity_schmidt, single_sided_eta,
+                     single_sided_purity, validate_low_excitation)
 from conftest import (make_filters, make_grid, make_pump, make_waveguide,
                       reference_coefficients, reference_jsa, reference_jta)
 
@@ -67,7 +64,8 @@ def test_criterion_02_pair_rate_oracle(capsys):
         for lam in RATIOS:
             for mu in RATIOS:
                 pump, wg, filters, grid = _linear_case(phi, lam, mu)
-                eta = pair_probability(jta_linear(pump, wg, grid), filters)
+                diag = build_diagonal_jta("linear", pump, wg, grid)
+                eta = compute_pair_metrics(diag, filters).eta
                 want = gaussian_eta(phi, lam, mu)
                 worst = max(worst, abs(eta - want) / want)
     anchor_err = abs(gaussian_eta(0.1, 2.0, 2.0) - 5.5902e-4) / 5.5902e-4
@@ -84,14 +82,16 @@ def test_criterion_03_heralding_efficiency_oracle(capsys):
     for lam in RATIOS:
         for mu in RATIOS:
             pump, wg, filters, grid = _linear_case(0.1, lam, mu)
-            nu = heralding_efficiency(jta_linear(pump, wg, grid), filters)
+            diag = build_diagonal_jta("linear", pump, wg, grid)
+            nu = compute_pair_metrics(diag, filters).nu
             want = gaussian_nu(lam, mu)
             worst = max(worst, abs(nu - want) / want)
     anchor_err = abs(gaussian_nu(2.0, 2.0) - 1.0 / math.sqrt(10.0))
     # unfiltered idler must give exactly 1
     pump, wg, _, grid = _linear_case(0.1, 2.0, 2.0)
     pair = FilterPair(FilterSpec(sigma_f=0.25), FilterSpec.unfiltered())
-    nu_unfiltered = heralding_efficiency(jta_linear(pump, wg, grid), pair)
+    diag = build_diagonal_jta("linear", pump, wg, grid)
+    nu_unfiltered = compute_pair_metrics(diag, pair).nu
     ok = worst <= 1e-4 and anchor_err == 0.0 and nu_unfiltered == 1.0
     _announce(capsys, 3, ok,
               f"efficiency max rel err {worst:.3e} over 16 cases, "
@@ -106,17 +106,18 @@ def test_criterion_04_phase_cancellation_with_unfiltered_idler(capsys):
     filt = FilterSpec(sigma_f=0.25)  # lambda = 2
     pump0, wg, _, grid = _linear_case(1.0, 2.0, 0.0)
     # phi -> 0 limit of the phase-modulated model is the linear model
-    base_purity = single_sided_purity(jta_linear(pump0, wg, grid), filt)
-    base_rate = single_sided_eta(jta_linear(pump0, wg, grid), filt)  # phi^2 = 1
+    linear = build_diagonal_jta("linear", pump0, wg, grid)
+    base_purity = single_sided_purity(linear, filt)
+    base_rate = single_sided_eta(linear, filt)  # phi^2 = 1
     purities, rates = [base_purity], [base_rate]
     for phi in (0.5, 1.0, 2.0):
         pump = make_pump(phi_max=phi)
-        diag = jta_simple(pump, wg, grid)
+        diag = build_diagonal_jta("simple_sxpm", pump, wg, grid)
         purities.append(single_sided_purity(diag, filt))
         rates.append(single_sided_eta(diag, filt) / phi ** 2)
     # the phi=0 member of the set: rate vanishes identically
-    rate_at_zero = single_sided_eta(jta_simple(make_pump(phi_max=0.0), wg, grid),
-                                    filt)
+    rate_at_zero = single_sided_eta(
+        build_diagonal_jta("simple_sxpm", make_pump(phi_max=0.0), wg, grid), filt)
     p_spread = (max(purities) - min(purities)) / min(purities)
     r_spread = (max(rates) - min(rates)) / min(rates)
     p_closed = abs(purities[0] - gaussian_purity(2.0, 0.0)) / gaussian_purity(2.0, 0.0)
@@ -164,18 +165,20 @@ def test_criterion_05_nonlinear_trends(capsys):
         pump = make_pump(phi_max=phi)
         filters = make_filters(2.0, 2.0, pump)
         grid = make_grid(pump, [filters.signal, filters.idler])
-        p_simple = purity_schmidt(filtered_jta(jta_simple(pump, wg, grid),
-                                               filters)).purity
-        p_linear = purity_schmidt(filtered_jta(jta_linear(pump, wg, grid),
-                                               filters)).purity
+        p_simple, p_linear = (
+            purity_schmidt(filtered_jta(build_diagonal_jta(model, pump, wg, grid),
+                                        filters)).purity
+            for model in ("simple_sxpm", "linear"))
         p_ref = _spectral_series_purity(pump, wg, filters, "simple_sxpm")
         deltas[phi] = p_simple - p_linear
         ref_errs[phi] = abs(p_simple - p_ref)
     pump2 = make_pump(phi_max=2.0)
     filters2 = make_filters(2.0, 2.0, pump2)
     grid2 = make_grid(pump2, [filters2.signal, filters2.idler])
-    ratio = (pair_probability(jta_simple(pump2, wg, grid2), filters2)
-             / pair_probability(jta_linear(pump2, wg, grid2), filters2))
+    ratio = (compute_pair_metrics(build_diagonal_jta("simple_sxpm", pump2, wg, grid2),
+                                  filters2).eta
+             / compute_pair_metrics(build_diagonal_jta("linear", pump2, wg, grid2),
+                                    filters2).eta)
     elapsed = time.perf_counter() - t0
     worst_ref = max(ref_errs.values())
     rate_ok = ratio < 1.0
@@ -209,7 +212,7 @@ def test_criterion_06_series_vs_convolution(capsys):
         filters = make_filters(2.0, 2.0, pump)
         grid = make_grid(pump, [filters.signal, filters.idler])
         res = reference_jta(pump, wg, filters, grid, "simple_sxpm")
-        direct = filtered_jta(jta_simple(pump, wg, grid), filters)
+        direct = filtered_jta(build_diagonal_jta("simple_sxpm", pump, wg, grid), filters)
         err = (np.linalg.norm(res.values - direct.values)
                / np.linalg.norm(direct.values))
         worst = max(worst, err)
@@ -251,11 +254,11 @@ def test_criterion_08_quadrature_vs_svd_purity(capsys):
     gaps = []
     # the weak-pump point: the quadrature is scale invariant, so any phi
     # samples the linear (no-phase-modulation) amplitude shape
-    for phi, maker in ((0.1, jta_linear), (1.0, jta_simple)):
+    for phi, model in ((0.1, "linear"), (1.0, "simple_sxpm")):
         pump = make_pump(phi_max=phi)
         filters = make_filters(2.0, 2.0, pump)
         grid = make_grid(pump, [filters.signal, filters.idler], n_points=64)
-        diag = maker(pump, wg, grid)
+        diag = build_diagonal_jta(model, pump, wg, grid)
         quad = purity_quadrature(diag, filters)
         svd = purity_schmidt(filtered_jta(diag, filters)).purity
         gaps.append(abs(quad - svd))
@@ -274,8 +277,8 @@ def test_criterion_09_closed_form_limits(capsys):
         pump = make_pump(phi_max=phi)
         wg = make_waveguide(delta_beta0=db0)
         grid = make_grid(pump, n_points=256)
-        gen = jta_general(pump, wg, grid)
-        ref = jta_sinc(pump, wg, grid)
+        gen = build_diagonal_jta("general_quadrature", pump, wg, grid)
+        ref = build_diagonal_jta("sinc", pump, wg, grid)
         worst = max(worst, float(np.linalg.norm(gen.values - ref.values)
                                  / np.linalg.norm(ref.values)))
     # loss-free propagation limits must be exact

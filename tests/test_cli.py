@@ -16,7 +16,7 @@ import sfwmsim.filtering
 import sfwmsim.metrics
 from sfwmsim import (MODEL_NAMES, ConfigError, FilterPair, JointAmplitudeMatrix,
                      SpectralGrid, TemporalGrid, config_from_dict, filtered_jta,
-                     gaussian_eta, gaussian_nu, gaussian_purity, jta_simple, jta_to_jsa,
+                     gaussian_eta, gaussian_nu, gaussian_purity, jta_to_jsa,
                      load_config, marginal_spectrum, validate_config)
 from sfwmsim.cli import (build_diagonal_jta, export_matrix, main,
                          read_matrix_coords)
@@ -136,7 +136,8 @@ def _reference_marginal(path, omega, spectrum):
 
 def _example_matrix(kind):
     pump = make_pump(phi_max=1.0)
-    diag = jta_simple(pump, make_waveguide(), TemporalGrid(n_points=16, dt=0.75))
+    diag = build_diagonal_jta("simple_sxpm", pump, make_waveguide(),
+                              TemporalGrid(n_points=16, dt=0.75))
     if kind == "single_sided":
         # every second signal row of a signal-only filtered amplitude: 8 signal
         # times on TemporalGrid(8, 1.5) against the 16-point idler diagonal
@@ -234,7 +235,8 @@ def test_export_matrix_writes_at_most_one_row_at_a_time(tmp_path, monkeypatch):
                         lambda *a, **k: Recorder(open(*a, **k)), raising=False)
     n = 128
     pump = make_pump(phi_max=1.0)
-    diag = jta_simple(pump, make_waveguide(), TemporalGrid(n_points=n, dt=0.125))
+    diag = build_diagonal_jta("simple_sxpm", pump, make_waveguide(),
+                              TemporalGrid(n_points=n, dt=0.125))
     matrix = filtered_jta(diag, make_filters(2, 3, pump))
     paths = export_matrix(matrix, tmp_path / "m.csv")
     assert sum(sizes) == sum(p.stat().st_size for p in paths)
@@ -710,6 +712,96 @@ def test_sweep_accuracy_failure_propagates(tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", cfg, "--sweep", str(sweep),
                  "--out", str(out)]) == 3
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("p0, eta", [(1e153, "inf"), (5e153, "nan")])
+def test_a_warning_raised_while_evaluating_reaches_the_caller(tmp_path, capsys, command,
+                                                              p0, eta):
+    """A peak phase this close to the square root of the largest double passes
+    the config's scale check, but the squared amplitude overflows in the eta
+    lag sum: numpy's RuntimeWarning reaches the caller, and the non-finite eta
+    is an accuracy failure, not a number written out."""
+    raw = {**BASE, "pump": {"P0": p0, "sigma_t": 1.0}, "grid": {"n_points": 64}}
+    argv = [command, "--config", _write_config(tmp_path, raw),
+            "--out", str(tmp_path / "out")]
+    if command == "sweep":
+        argv += ["--sweep", _write_sweep(tmp_path, {"parameter": "phi_max", "values": [p0],
+                                                    "models": ["linear"]})]
+    with pytest.warns(RuntimeWarning) as caught:
+        assert main(argv) == 3
+    assert any("overflow" in str(w.message) for w in caught)
+    assert capsys.readouterr().err == (f"accuracy failure: eta is {eta}: the pair "
+                                       "amplitude overflows double precision\n")
+    assert not (tmp_path / "out").exists()
+
+
+# the README config at N = 64, where the resolution sentinel fires
+_README_64 = {"pump": {"P0": 1.0, "sigma_t": 1.0},
+              "waveguide": {"length": 0.005, "gamma": 121.6},
+              "filters": BASE["filters"], "grid": {"n_points": 64}, "model": "simple_sxpm"}
+_NO_SIGNAL_FILTER = {**BASE["filters"], "signal": {"shape": "none"}}
+_RESOLUTION = ("pair probability changed by {} relative under 2x grid coarsening; "
+               "grid may be under-resolved")
+_LOW_EXCITATION = ("eta={} exceeds the low-excitation bound 0.1; "
+                   "first-order results are unreliable")
+_ZERO_PUMP = "zero pump power: conditional quantities are undefined"
+_NO_NU = "nu: undefined without a signal filter"
+
+
+def _readme_64(p0=1.0, filters=None, **sections):
+    return {**_README_64, "pump": {"P0": p0, "sigma_t": 1.0},
+            "filters": filters or BASE["filters"], **sections}
+
+
+# recorded output: the exact text and order of the notes the CLI prints and stores
+_SIMULATE_NOTES = {
+    "resolution": (_readme_64(), [_RESOLUTION.format("5.05e-02")]),
+    "resolution_low_excitation": (_readme_64(30.0), [
+        _RESOLUTION.format("8.84e-01"), _LOW_EXCITATION.format("0.980863")]),
+    "zero_pump": (_readme_64(0.0), [_ZERO_PUMP]),
+    "nu": (_readme_64(filters=_NO_SIGNAL_FILTER), [_NO_NU]),
+    "nu_low_excitation": (_readme_64(30.0, _NO_SIGNAL_FILTER), [
+        _NO_NU, _LOW_EXCITATION.format("58.8193")]),
+    "free_carrier_last": (_readme_64(30.0, regime_check={
+        "photon_energy": 1.28e-19, "sigma_FCA": 1e-21, "T0": 1e-12, "I0": 2e13}), [
+        _RESOLUTION.format("8.84e-01"), _LOW_EXCITATION.format("0.980863"),
+        "free-carrier check failed: ratio 6.4 is below threshold 10"]),
+}
+_SWEEP_NOTES = {  # phi_max 0, 0.608 and 18.24, each with linear then simple_sxpm
+    "both_filtered": (None, [
+        _ZERO_PUMP, _ZERO_PUMP,
+        _RESOLUTION.format("4.58e-02"), _RESOLUTION.format("5.05e-02"),
+        _RESOLUTION.format("4.58e-02") + "; " + _LOW_EXCITATION.format("18.5984"),
+        _RESOLUTION.format("8.84e-01") + "; " + _LOW_EXCITATION.format("0.980863")]),
+    "signal_unfiltered": (_NO_SIGNAL_FILTER, [
+        _ZERO_PUMP, _ZERO_PUMP, _NO_NU, _NO_NU,
+        _NO_NU + "; " + _LOW_EXCITATION.format("58.8193"),
+        _NO_NU + "; " + _LOW_EXCITATION.format("58.8193")]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SIMULATE_NOTES))
+def test_simulate_notes_match_the_recorded_output(tmp_path, capsys, case):
+    raw, notes = _SIMULATE_NOTES[case]
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", _write_config(tmp_path, raw),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == "".join(f"warning: {note}\n" for note in notes)
+    assert json.loads((out / "metrics.json").read_text())["warnings"] == notes
+
+
+@pytest.mark.parametrize("case", sorted(_SWEEP_NOTES))
+def test_sweep_notes_match_the_recorded_output(tmp_path, capsys, case):
+    filters, column = _SWEEP_NOTES[case]
+    sweep = _write_sweep(tmp_path, {"parameter": "phi_max", "values": [0.0, 0.608, 18.24],
+                                    "models": ["linear", "simple_sxpm"]})
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", _write_config(tmp_path, _readme_64(filters=filters)),
+                 "--sweep", sweep, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    with open(out, newline="", encoding="utf-8") as fh:
+        assert [row["warnings"] for row in csv.DictReader(fh)] == column
 
 
 def test_config_error_exit_code_from_main(tmp_path, capsys):

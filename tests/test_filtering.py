@@ -5,8 +5,8 @@ import pytest
 
 from gaussian_reference import KEPT
 from sfwmsim import (ConfigError, FilterPair, FilterSpec, JointAmplitudeMatrix,
-                     SpectralGrid, TemporalGrid, filtered_jta, gaussian_time_kernel,
-                     jta_linear, jta_simple, overlap)
+                     SpectralGrid, TemporalGrid, build_diagonal_jta, filtered_jta,
+                     gaussian_time_kernel, overlap)
 from sfwmsim.filtering import DELTA_KERNEL_WEIGHT
 from conftest import (make_filters, make_grid, make_pump, make_waveguide,
                       reference_coefficients, reference_jta)
@@ -88,7 +88,7 @@ def test_convolved_linear_jta_matches_closed_form(lam, mu):
     wg = make_waveguide()
     filters = make_filters(lam, mu, pump)
     grid = make_grid(pump, [filters.signal, filters.idler], n_points=256)
-    diag = jta_linear(pump, wg, grid)
+    diag = build_diagonal_jta("linear", pump, wg, grid)
     got = filtered_jta(diag, filters)
     want = reference_jta(pump, wg, filters, grid)
     scale = np.abs(want.values).max()
@@ -100,7 +100,7 @@ def test_closed_form_axis_roles():
     pump = make_pump(phi_max=0.1)
     wg = make_waveguide()
     grid = make_grid(pump, [FilterSpec(sigma_f=0.25)], n_points=256)
-    diag = jta_linear(pump, wg, grid)
+    diag = build_diagonal_jta("linear", pump, wg, grid)
     asym = filtered_jta(diag, make_filters(2.0, 0.5, pump))
     swapped = filtered_jta(diag, make_filters(0.5, 2.0, pump))
     np.testing.assert_allclose(asym.values, swapped.values.T, rtol=1e-13)
@@ -123,7 +123,7 @@ def test_single_sided_collapse_entries():
     sigma_f = 0.25
     filters = FilterPair(FilterSpec(sigma_f=sigma_f), FilterSpec.unfiltered())
     grid = make_grid(pump, [filters.signal], n_points=64)
-    diag = jta_linear(pump, wg, grid)
+    diag = build_diagonal_jta("linear", pump, wg, grid)
     matrix = filtered_jta(diag, filters)
     j, k = 20, 33
     expected = (diag.values[k]
@@ -137,7 +137,7 @@ def test_single_sided_mirror_is_the_transpose():
     wg = make_waveguide()
     filt = FilterSpec(sigma_f=0.25)
     grid = make_grid(pump, [filt], n_points=64)
-    diag = jta_linear(pump, wg, grid)
+    diag = build_diagonal_jta("linear", pump, wg, grid)
     m_sig = filtered_jta(diag, FilterPair(filt, FilterSpec.unfiltered()))
     m_idl = filtered_jta(diag, FilterPair(FilterSpec.unfiltered(), filt))
     np.testing.assert_allclose(m_idl.values, m_sig.values.T, rtol=0, atol=0)
@@ -146,7 +146,7 @@ def test_single_sided_mirror_is_the_transpose():
 def test_fully_unfiltered_convolution_rejected():
     pump = make_pump()
     grid = make_grid(pump, n_points=64)
-    diag = jta_linear(pump, make_waveguide(), grid)
+    diag = build_diagonal_jta("linear", pump, make_waveguide(), grid)
     pair = FilterPair(FilterSpec.unfiltered(), FilterSpec.unfiltered())
     with pytest.raises(ConfigError):
         filtered_jta(diag, pair)
@@ -179,6 +179,6 @@ def test_series_agrees_with_direct_convolution():
     filters = make_filters(2.0, 2.0, pump)
     grid = make_grid(pump, [filters.signal, filters.idler], n_points=128)
     res = reference_jta(pump, wg, filters, grid, "simple_sxpm")
-    direct = filtered_jta(jta_simple(pump, wg, grid), filters)
+    direct = filtered_jta(build_diagonal_jta("simple_sxpm", pump, wg, grid), filters)
     num = np.linalg.norm(res.values - direct.values)
     assert num / np.linalg.norm(direct.values) < 1e-6

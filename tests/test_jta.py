@@ -7,9 +7,8 @@ from numpy.polynomial.legendre import leggauss
 import sfwmsim.jta
 
 from sfwmsim import (MODEL_NAMES, AccuracyError, ConfigError, DiagonalJTA,
-                     ModelCompatibilityError, TemporalGrid, jta_general,
-                     jta_linear, jta_simple, jta_sinc, pump_power_profile)
-from sfwmsim.jta import build_diagonal_jta
+                     ModelCompatibilityError, TemporalGrid, build_diagonal_jta,
+                     pump_power_profile)
 from conftest import make_grid, make_pump, make_waveguide
 
 SINC_HALF = math.sin(0.5) / 0.5  # 0.958851...
@@ -18,7 +17,7 @@ SINC_HALF = math.sin(0.5) / 0.5  # 0.958851...
 def test_linear_is_purely_imaginary_with_peak_phi():
     pump = make_pump(phi_max=0.3)
     grid = make_grid(pump, n_points=128)
-    diag = jta_linear(pump, make_waveguide(), grid)
+    diag = build_diagonal_jta("linear", pump, make_waveguide(), grid)
     assert np.all(diag.values.real == 0.0)
     k0 = grid.index_of(0.0)
     assert diag.values[k0] == pytest.approx(0.3j)
@@ -31,8 +30,8 @@ def test_simple_sxpm_keeps_the_linear_magnitude():
     pump = make_pump(phi_max=0.8)
     grid = make_grid(pump, n_points=128)
     wg = make_waveguide()
-    lin = jta_linear(pump, wg, grid)
-    spm = jta_simple(pump, wg, grid)
+    lin = build_diagonal_jta("linear", pump, wg, grid)
+    spm = build_diagonal_jta("simple_sxpm", pump, wg, grid)
     np.testing.assert_allclose(np.abs(spm.values), np.abs(lin.values),
                                rtol=1e-14, atol=0)
     # each sample rotated by three times the local nonlinear phase
@@ -47,8 +46,8 @@ def test_sinc_envelope_at_matched_peak():
     wg = make_waveguide(delta_beta0=1.0)
     grid = make_grid(pump, n_points=128)
     k0 = grid.index_of(0.0)
-    lin = jta_linear(pump, make_waveguide(), grid)
-    snc = jta_sinc(pump, wg, grid)
+    lin = build_diagonal_jta("linear", pump, make_waveguide(), grid)
+    snc = build_diagonal_jta("sinc", pump, wg, grid)
     assert abs(snc.values[k0]) == pytest.approx(abs(lin.values[k0]), rel=1e-12)
 
 
@@ -56,8 +55,8 @@ def test_sinc_suppression_without_mismatch():
     # at the peak the argument is -gamma P0 L = -0.5
     pump = make_pump(phi_max=0.5)
     grid = make_grid(pump, n_points=128)
-    lin = jta_linear(pump, make_waveguide(), grid)
-    snc = jta_sinc(pump, make_waveguide(), grid)
+    lin = build_diagonal_jta("linear", pump, make_waveguide(), grid)
+    snc = build_diagonal_jta("sinc", pump, make_waveguide(), grid)
     k0 = grid.index_of(0.0)
     assert abs(snc.values[k0] / lin.values[k0]) == pytest.approx(SINC_HALF,
                                                                  rel=1e-12)
@@ -67,20 +66,21 @@ def test_sinc_phase_includes_half_mismatch():
     pump = make_pump(phi_max=0.4)
     wg = make_waveguide(delta_beta0=2.5)
     grid = make_grid(pump, n_points=128)
-    snc = jta_sinc(pump, wg, grid)
+    snc = build_diagonal_jta("sinc", pump, wg, grid)
     k0 = grid.index_of(0.0)
     expected = np.angle(1j * np.exp(1j * (3 * 0.4 + 2.5 / 2.0)))
     assert np.angle(snc.values[k0]) == pytest.approx(expected, abs=1e-12)
 
 
-@pytest.mark.parametrize("maker", [jta_linear, jta_simple, jta_sinc])
-def test_lossy_waveguide_rejected_by_closed_form_models(maker):
+@pytest.mark.parametrize("model", ["linear", "simple_sxpm", "sinc"],
+                         ids=["jta_linear", "jta_simple", "jta_sinc"])
+def test_lossy_waveguide_rejected_by_closed_form_models(model):
     pump = make_pump()
     grid = make_grid(pump, n_points=64)
     with pytest.raises(ModelCompatibilityError, match="general_quadrature"):
-        maker(pump, make_waveguide(alpha=0.1), grid)
+        build_diagonal_jta(model, pump, make_waveguide(alpha=0.1), grid)
     with pytest.raises(ModelCompatibilityError):
-        maker(pump, make_waveguide(alpha2_P=0.1), grid)
+        build_diagonal_jta(model, pump, make_waveguide(alpha2_P=0.1), grid)
 
 
 def test_general_matches_simple_at_weak_pump():
@@ -88,8 +88,8 @@ def test_general_matches_simple_at_weak_pump():
     pump = make_pump(phi_max=1e-5)
     wg = make_waveguide()
     grid = make_grid(pump, n_points=128)
-    gen = jta_general(pump, wg, grid)
-    ref = jta_simple(pump, wg, grid)
+    gen = build_diagonal_jta("general_quadrature", pump, wg, grid)
+    ref = build_diagonal_jta("simple_sxpm", pump, wg, grid)
     err = np.linalg.norm(gen.values - ref.values) / np.linalg.norm(ref.values)
     assert err <= 1e-10
 
@@ -99,8 +99,8 @@ def test_general_reduces_to_sinc_when_lossless(phi, db0):
     pump = make_pump(phi_max=phi)
     wg = make_waveguide(delta_beta0=db0)
     grid = make_grid(pump, n_points=128)
-    gen = jta_general(pump, wg, grid)
-    ref = jta_sinc(pump, wg, grid)
+    gen = build_diagonal_jta("general_quadrature", pump, wg, grid)
+    ref = build_diagonal_jta("sinc", pump, wg, grid)
     err = np.linalg.norm(gen.values - ref.values) / np.linalg.norm(ref.values)
     assert err <= 1e-8
 
@@ -108,8 +108,8 @@ def test_general_reduces_to_sinc_when_lossless(phi, db0):
 def test_general_loss_shrinks_the_amplitude():
     pump = make_pump(phi_max=1.0)
     grid = make_grid(pump, n_points=128)
-    lossless = jta_general(pump, make_waveguide(), grid)
-    lossy = jta_general(pump, make_waveguide(alpha=0.8), grid)
+    lossless = build_diagonal_jta("general_quadrature", pump, make_waveguide(), grid)
+    lossy = build_diagonal_jta("general_quadrature", pump, make_waveguide(alpha=0.8), grid)
     assert np.all(np.abs(lossy.values) <= np.abs(lossless.values) + 1e-15)
     assert np.abs(lossy.values).max() < np.abs(lossless.values).max()
 
@@ -118,8 +118,8 @@ def test_general_literal_z_changes_tpa_results():
     pump = make_pump(phi_max=1.0)
     wg = make_waveguide(alpha=0.2, alpha2_P=0.5)
     grid = make_grid(pump, n_points=64)
-    a = jta_general(pump, wg, grid)
-    b = jta_general(pump, wg, grid, literal_z=True)
+    a = build_diagonal_jta("general_quadrature", pump, wg, grid)
+    b = build_diagonal_jta("general_quadrature", pump, wg, grid, literal_z=True)
     assert np.abs(a.values - b.values).max() > 1e-6
 
 
@@ -128,7 +128,7 @@ def test_general_unconverged_quadrature_raises():
     wg = make_waveguide(delta_beta0=4e4)  # ~6400 oscillations over the length
     grid = make_grid(pump, n_points=64)
     with pytest.raises(AccuracyError) as excinfo:
-        jta_general(pump, wg, grid)
+        build_diagonal_jta("general_quadrature", pump, wg, grid)
     coarse, fine = excinfo.value.coarse, excinfo.value.fine
     assert coarse.shape == fine.shape == (64,)
     # full-grid estimates, mirrored about the zero sample, and the change is theirs
@@ -153,7 +153,7 @@ def test_diagonal_jta_validation():
 def test_diagonal_jta_accepts_strided_views_and_rejects_strided_non_finite(bad):
     pump = make_pump(phi_max=1.0)
     grid = make_grid(pump, n_points=128)
-    diag = jta_simple(pump, make_waveguide(), grid)
+    diag = build_diagonal_jta("simple_sxpm", pump, make_waveguide(), grid)
     half_grid = TemporalGrid(n_points=64, dt=2.0 * grid.dt)
     half = DiagonalJTA(half_grid, diag.values[::2])
     np.testing.assert_array_equal(half.values, diag.values[::2])
@@ -180,16 +180,16 @@ def test_general_with_cached_rules_equals_direct_leggauss(monkeypatch, literal_z
     pump = make_pump(phi_max=1.0)
     wg = make_waveguide(alpha=0.2, alpha2_P=0.5, delta_beta0=1.5)
     grid = make_grid(pump, n_points=128)
-    cached = jta_general(pump, wg, grid, literal_z=literal_z).values
+    cached = build_diagonal_jta("general_quadrature", pump, wg, grid, literal_z).values
     monkeypatch.setattr(sfwmsim.jta, "_gauss_legendre", leggauss)
-    direct = jta_general(pump, wg, grid, literal_z=literal_z).values
+    direct = build_diagonal_jta("general_quadrature", pump, wg, grid, literal_z).values
     np.testing.assert_array_equal(cached.view(np.uint64), direct.view(np.uint64))
 
 
 def test_edge_tail_ratio():
     pump = make_pump(phi_max=1.0)
     grid = make_grid(pump, n_points=128)
-    diag = jta_linear(pump, make_waveguide(), grid)
+    diag = build_diagonal_jta("linear", pump, make_waveguide(), grid)
     # right edge sits at +8 - dt = 7.875 and dominates the left one at -8
     assert diag.edge_tail_ratio() == pytest.approx(math.exp(-7.875 ** 2 / 2.0),
                                                    rel=1e-10)

@@ -1,29 +1,25 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 import gaussian_reference
 import sfwmsim.metrics
-from sfwmsim import (AccuracyWarning, ConfigError, DegenerateInputError,
-                     DiagonalJTA, FilterPair, FilterSpec, PumpPulse,
-                     TemporalGrid, UndefinedEfficiencyError, compute_pair_metrics,
-                     effective_length, filtered_jta, gaussian_eta, gaussian_nu,
-                     gaussian_purity, heralding_efficiency, gaussian_time_kernel,
-                     jta_general, jta_linear, jta_simple, jta_sinc, overlap, pair_probability,
+from sfwmsim import (ConfigError, DegenerateInputError, DiagonalJTA, FilterPair,
+                     FilterSpec, PumpPulse, TemporalGrid, build_diagonal_jta,
+                     compute_pair_metrics, effective_length, filtered_jta, gaussian_eta,
+                     gaussian_nu, gaussian_purity, gaussian_time_kernel, overlap,
                      purity_quadrature, purity_schmidt, schmidt_mode_count,
                      single_sided_eta, single_sided_purity, validate_low_excitation)
-from sfwmsim.jta import build_diagonal_jta
 from conftest import (filter_for_ratio, make_filters, make_grid, make_pump, make_waveguide,
                       reference_coefficients, reference_jta)
 
 PURITY_22 = math.sqrt(80.0 / 81.0)  # lambda = mu = 2
 ETA_01_22 = 5.590169943749474e-4    # phi = 0.1, lambda = mu = 2
 NU_22 = 1.0 / math.sqrt(10.0)
-TIERS = pytest.mark.parametrize(
-    "model", [jta_linear, jta_simple, jta_sinc, jta_general],
-    ids=["linear", "simple_sxpm", "sinc", "general_quadrature"])
+TIERS = pytest.mark.parametrize("model",
+                                ["linear", "simple_sxpm", "sinc", "general_quadrature"])
+ZERO_PUMP = "zero pump power: conditional quantities are undefined"
 
 
 def _linear_setup(phi, lam, mu, n_points=512):
@@ -34,9 +30,14 @@ def _linear_setup(phi, lam, mu, n_points=512):
     return pump, wg, filters, grid
 
 
+def _resolution_note(rel):
+    return (f"pair probability changed by {rel:.2e} relative under 2x grid "
+            "coarsening; grid may be under-resolved")
+
+
 def test_pair_probability_anchor():
     pump, wg, filters, grid = _linear_setup(0.1, 2.0, 2.0)
-    eta = pair_probability(jta_linear(pump, wg, grid), filters)
+    eta = compute_pair_metrics(build_diagonal_jta("linear", pump, wg, grid), filters).eta
     assert eta == pytest.approx(ETA_01_22, rel=1e-10)
     assert gaussian_eta(0.1, 2.0, 2.0) == pytest.approx(ETA_01_22, rel=1e-12)
 
@@ -45,30 +46,30 @@ def test_pair_probability_anchor():
                                         (0.1, 4.0, 0.5)])
 def test_pair_probability_matches_closed_form(phi, lam, mu):
     pump, wg, filters, grid = _linear_setup(phi, lam, mu)
-    eta = pair_probability(jta_linear(pump, wg, grid), filters)
+    eta = compute_pair_metrics(build_diagonal_jta("linear", pump, wg, grid), filters).eta
     assert eta == pytest.approx(gaussian_eta(phi, lam, mu), rel=1e-8)
 
 
 def test_non_conjugated_variant_is_minus_eta_for_the_linear_model():
     # the linear amplitude is purely imaginary, so v K v = -(v* K v)
     pump, wg, filters, grid = _linear_setup(0.1, 2.0, 2.0)
-    raw = pair_probability(jta_linear(pump, wg, grid), filters, conjugated=False)
-    assert isinstance(raw, complex)
-    assert raw.real == pytest.approx(-ETA_01_22, rel=1e-10)
-    assert abs(raw.imag) < 1e-18
+    pm = compute_pair_metrics(build_diagonal_jta("linear", pump, wg, grid), filters,
+                              conjugated=False)
+    assert pm.eta == pytest.approx(-ETA_01_22, rel=1e-10)
+    assert abs(pm.eta_imag) < 1e-18
 
 
 def test_pair_probability_dispatches_single_sided():
     pump, wg, _, grid = _linear_setup(0.1, 2.0, 2.0)
-    diag = jta_linear(pump, wg, grid)
+    diag = build_diagonal_jta("linear", pump, wg, grid)
     filt = FilterSpec(sigma_f=0.25)
     one_sided = FilterPair(filt, FilterSpec.unfiltered())
-    assert pair_probability(diag, one_sided) == single_sided_eta(diag, filt)
+    assert compute_pair_metrics(diag, one_sided).eta == single_sided_eta(diag, filt)
     flipped = FilterPair(FilterSpec.unfiltered(), filt)
-    assert pair_probability(diag, flipped) == single_sided_eta(diag, filt)
-    with pytest.raises(ConfigError):
-        pair_probability(diag, FilterPair(FilterSpec.unfiltered(),
-                                          FilterSpec.unfiltered()))
+    assert compute_pair_metrics(diag, flipped).eta == single_sided_eta(diag, filt)
+    with pytest.raises(ConfigError, match="needs at least one gaussian filter"):
+        compute_pair_metrics(diag, FilterPair(FilterSpec.unfiltered(),
+                                              FilterSpec.unfiltered()))
 
 
 def test_resolution_check_warns_on_a_coarse_grid():
@@ -76,19 +77,17 @@ def test_resolution_check_warns_on_a_coarse_grid():
     wg = make_waveguide()
     filters = make_filters(2.0, 2.0, pump)
     grid = make_grid(pump, [filters.signal, filters.idler], n_points=64)
-    diag = jta_simple(pump, wg, grid)
-    with pytest.warns(AccuracyWarning, match="coarsening") as record:
-        pair_probability(diag, filters, verify_resolution=True)
+    notes = compute_pair_metrics(build_diagonal_jta("simple_sxpm", pump, wg, grid),
+                                 filters).notes
     # the sentinel's coarse eta is the eta of the half grid (measured 5.46e-02)
     rel = _half_grid_drift(pump, wg, filters, grid)
     assert rel > 1e-2
-    assert f"changed by {rel:.2e} relative" in str(record[0].message)
+    assert notes == (_resolution_note(rel),)
 
     fine = make_grid(pump, [filters.signal, filters.idler], n_points=512)
     assert _half_grid_drift(pump, wg, filters, fine) < 1e-6  # measured 2.1e-15
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", AccuracyWarning)
-        pair_probability(jta_simple(pump, wg, fine), filters, verify_resolution=True)
+    diag = build_diagonal_jta("simple_sxpm", pump, wg, fine)
+    assert compute_pair_metrics(diag, filters).notes == ()
 
 
 @pytest.mark.parametrize("p0", [1e-140, 1e-150, 1e-152])
@@ -100,9 +99,8 @@ def test_resolution_check_keeps_warning_for_a_tiny_eta(p0):
     wg = make_waveguide(gamma=121.6, length=0.005)
     filters = FilterPair(FilterSpec(sigma_f=0.25), FilterSpec(sigma_f=0.25))
     grid = make_grid(pump, [filters.signal, filters.idler], n_points=64)
-    with pytest.warns(AccuracyWarning, match="changed by 4.58e-02 relative"):
-        pm = compute_pair_metrics(jta_linear(pump, wg, grid), filters,
-                                  verify_resolution=True)
+    pm = compute_pair_metrics(build_diagonal_jta("linear", pump, wg, grid), filters)
+    assert pm.notes == (_resolution_note(4.58e-02),)
     assert pm.eta > 0.0
 
 
@@ -118,16 +116,16 @@ def _dense_overlap(filt, grid):
 def test_eta_matches_the_dense_quadratic_form(model, lam, mu, n_points):
     # the lag sum against v* K v with the dense kernel K = Os * Oi
     pump, wg, filters, grid = _linear_setup(1.0, lam, mu, n_points=n_points)
-    diag = model(pump, wg, grid)
+    diag = build_diagonal_jta(model, pump, wg, grid)
     k = _dense_overlap(filters.signal, grid) * _dense_overlap(filters.idler, grid)
     v = grid.trapezoid_weights * diag.values
     kv = k @ v
     eta = float(np.real(np.conj(v) @ kv)) / (4.0 * math.pi ** 2)
     raw = complex(v @ kv) / (4.0 * math.pi ** 2)
-    assert abs(pair_probability(diag, filters) - eta) <= 1e-13 * eta
-    got = pair_probability(diag, filters, conjugated=False)
-    assert abs(got.real - raw.real) <= 1e-13 * eta
-    assert abs(got.imag - raw.imag) <= 1e-13 * eta
+    assert abs(compute_pair_metrics(diag, filters).eta - eta) <= 1e-13 * eta
+    got = compute_pair_metrics(diag, filters, conjugated=False)
+    assert abs(got.eta - raw.real) <= 1e-13 * eta
+    assert abs(got.eta_imag - raw.imag) <= 1e-13 * eta
 
 
 @pytest.mark.parametrize("n", [8, 64, 1024])
@@ -149,27 +147,29 @@ def test_resolution_sentinel_is_the_half_grid_eta(n_points):
     """Every second lag of the eta kernel is the kernel of the half grid, bit
     for bit, so the sentinel's coarse eta is that grid's eta."""
     pump, wg, filters, grid = _linear_setup(1.0, 1.3, 2.7, n_points=n_points)
-    diag = jta_simple(pump, wg, grid)
+    diag = build_diagonal_jta("simple_sxpm", pump, wg, grid)
     lags = sfwmsim.metrics._overlap_lags(grid)
     kappa = overlap(filters.signal, lags) * overlap(filters.idler, lags)
     coarse = sfwmsim.metrics._quadratic_form(diag, kappa, True, step=2)
     half = TemporalGrid(n_points // 2, 2.0 * grid.dt)
     assert np.array_equal(sfwmsim.metrics._overlap_lags(half), lags[::2])
     coarse_diag = DiagonalJTA(half, np.ascontiguousarray(diag.values[::2]))
-    assert coarse == pair_probability(coarse_diag, filters)
+    assert coarse == compute_pair_metrics(coarse_diag, filters).eta
 
 
 def _half_grid_drift(pump, wg, filters, grid):
     half = TemporalGrid(n_points=grid.n_points // 2, dt=2.0 * grid.dt)
-    eta = pair_probability(jta_simple(pump, wg, grid), filters)
-    eta_half = pair_probability(jta_simple(pump, wg, half), filters)
+    eta = compute_pair_metrics(build_diagonal_jta("simple_sxpm", pump, wg, grid),
+                               filters).eta
+    eta_half = compute_pair_metrics(build_diagonal_jta("simple_sxpm", pump, wg, half),
+                                    filters).eta
     return abs(eta - eta_half) / max(abs(eta), abs(eta_half))
 
 
 def test_single_sided_eta_anchor():
     # O(0)/(2 pi) * integral |JTA|^2 = phi^2 sigma_f sqrt(pi) / sqrt(2 pi)
     pump, wg, _, grid = _linear_setup(0.1, 2.0, 0.0)
-    diag = jta_linear(pump, wg, grid)
+    diag = build_diagonal_jta("linear", pump, wg, grid)
     eta = single_sided_eta(diag, FilterSpec(sigma_f=0.25))
     assert eta == pytest.approx(0.0025 / math.sqrt(2.0), rel=1e-10)
     assert eta == pytest.approx(1.76777e-3, rel=1e-5)
@@ -178,12 +178,12 @@ def test_single_sided_eta_anchor():
 def test_single_sided_eta_requires_a_filter():
     pump, wg, _, grid = _linear_setup(0.1, 2.0, 0.0)
     with pytest.raises(DegenerateInputError):
-        single_sided_eta(jta_linear(pump, wg, grid), FilterSpec.unfiltered())
+        single_sided_eta(build_diagonal_jta("linear", pump, wg, grid), FilterSpec.unfiltered())
 
 
 def test_single_sided_purity_anchor():
     pump, wg, _, grid = _linear_setup(0.1, 2.0, 0.0)
-    purity = single_sided_purity(jta_linear(pump, wg, grid),
+    purity = single_sided_purity(build_diagonal_jta("linear", pump, wg, grid),
                                  FilterSpec(sigma_f=0.25))
     assert purity == pytest.approx(2.0 * math.sqrt(2.0) / 3.0, rel=1e-8)
 
@@ -195,7 +195,7 @@ def test_single_sided_purity_is_phase_blind():
     for phi in (1e-30, 2.0):
         pump = make_pump(phi_max=phi)
         grid = make_grid(pump, [filt], n_points=256)
-        diag = jta_simple(pump, make_waveguide(), grid)
+        diag = build_diagonal_jta("simple_sxpm", pump, make_waveguide(), grid)
         values.append(single_sided_purity(diag, filt))
     assert values[1] == pytest.approx(values[0], rel=1e-12)
 
@@ -206,8 +206,8 @@ def test_single_sided_purity_of_a_weak_pump(phi):
     filt = FilterSpec(sigma_f=0.25)
     strong, weak = make_pump(phi_max=0.1), make_pump(phi_max=phi)
     grid = make_grid(strong, [filt], n_points=64)
-    want = single_sided_purity(jta_linear(strong, make_waveguide(), grid), filt)
-    got = single_sided_purity(jta_linear(weak, make_waveguide(), grid), filt)
+    want, got = (single_sided_purity(build_diagonal_jta("linear", pump, make_waveguide(), grid),
+                                     filt) for pump in (strong, weak))
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -216,7 +216,7 @@ def test_single_sided_purity_of_a_weak_pump(phi):
 def test_single_sided_purity_matches_the_dense_form(model, n_points):
     pump, wg, _, grid = _linear_setup(1.0, 2.0, 0.0, n_points=n_points)
     filt = FilterSpec(sigma_f=0.25)
-    diag = model(pump, wg, grid)
+    diag = build_diagonal_jta(model, pump, wg, grid)
     q = grid.trapezoid_weights * np.abs(diag.values) ** 2
     o_sq = np.abs(_dense_overlap(filt, grid)) ** 2
     eta = single_sided_eta(diag, filt)
@@ -226,13 +226,13 @@ def test_single_sided_purity_matches_the_dense_form(model, n_points):
 
 def test_single_sided_purity_unfiltered_limit_is_zero():
     pump, wg, _, grid = _linear_setup(0.1, 2.0, 0.0)
-    diag = jta_linear(pump, wg, grid)
+    diag = build_diagonal_jta("linear", pump, wg, grid)
     assert single_sided_purity(diag, FilterSpec.unfiltered()) == 0.0
 
 
 def test_single_sided_purity_zero_amplitude_raises():
     pump, wg, _, grid = _linear_setup(0.0, 2.0, 0.0)
-    diag = jta_linear(pump, wg, grid)
+    diag = build_diagonal_jta("linear", pump, wg, grid)
     with pytest.raises(DegenerateInputError):
         single_sided_purity(diag, FilterSpec(sigma_f=0.25))
 
@@ -248,7 +248,7 @@ def test_schmidt_purity_oracle():
 
 def test_schmidt_zero_matrix_raises():
     pump, wg, filters, grid = _linear_setup(0.0, 2.0, 2.0, n_points=64)
-    matrix = filtered_jta(jta_linear(pump, wg, grid), filters)
+    matrix = filtered_jta(build_diagonal_jta("linear", pump, wg, grid), filters)
     with pytest.raises(DegenerateInputError):
         purity_schmidt(matrix)
 
@@ -263,7 +263,7 @@ def test_schmidt_mode_count():
 
 def test_purity_quadrature_matches_schmidt():
     pump, wg, filters, grid = _linear_setup(0.1, 2.0, 2.0, n_points=64)
-    diag = jta_linear(pump, wg, grid)
+    diag = build_diagonal_jta("linear", pump, wg, grid)
     quad = purity_quadrature(diag, filters)
     assert quad == pytest.approx(PURITY_22, rel=1e-6)
 
@@ -272,13 +272,13 @@ def test_purity_quadrature_cost_guard():
     """No cost guard is left: the factored contraction is O(N^3), like the
     SVD, so it runs on a 256-point grid and stays accurate there."""
     pump, wg, filters, grid = _linear_setup(0.1, 2.0, 2.0, n_points=256)
-    diag = jta_linear(pump, wg, grid)
+    diag = build_diagonal_jta("linear", pump, wg, grid)
     assert purity_quadrature(diag, filters) == pytest.approx(PURITY_22, rel=1e-7)
 
 
 def test_purity_quadrature_guards():
     pump, wg, _, grid = _linear_setup(0.1, 2.0, 0.0, n_points=64)
-    diag = jta_linear(pump, wg, grid)
+    diag = build_diagonal_jta("linear", pump, wg, grid)
     one_sided = FilterPair(FilterSpec(sigma_f=0.25), FilterSpec.unfiltered())
     with pytest.raises(ConfigError):
         purity_quadrature(diag, one_sided)
@@ -290,31 +290,25 @@ def test_purity_quadrature_guards():
 
 def test_heralding_efficiency_anchor():
     pump, wg, filters, grid = _linear_setup(0.1, 2.0, 2.0)
-    nu = heralding_efficiency(jta_linear(pump, wg, grid), filters)
+    nu = compute_pair_metrics(build_diagonal_jta("linear", pump, wg, grid), filters).nu
     assert nu == pytest.approx(NU_22, rel=1e-8)
     assert gaussian_nu(2.0, 2.0) == pytest.approx(NU_22, rel=1e-15)
 
 
 def test_heralding_efficiency_unfiltered_idler_is_one():
     pump, wg, _, grid = _linear_setup(0.1, 2.0, 0.0)
-    diag = jta_linear(pump, wg, grid)
+    diag = build_diagonal_jta("linear", pump, wg, grid)
     pair = FilterPair(FilterSpec(sigma_f=0.25), FilterSpec.unfiltered())
-    assert heralding_efficiency(diag, pair) == 1.0
+    assert compute_pair_metrics(diag, pair).nu == 1.0
 
 
 def test_heralding_efficiency_needs_a_signal_filter():
     pump, wg, _, grid = _linear_setup(0.1, 0.0, 2.0)
-    diag = jta_linear(pump, wg, grid)
+    diag = build_diagonal_jta("linear", pump, wg, grid)
     pair = FilterPair(FilterSpec.unfiltered(), FilterSpec(sigma_f=0.25))
-    with pytest.raises(UndefinedEfficiencyError):
-        heralding_efficiency(diag, pair)
-
-
-def test_heralding_efficiency_zero_amplitude_raises():
-    pump, wg, filters, grid = _linear_setup(0.0, 2.0, 2.0)
-    diag = jta_linear(pump, wg, grid)
-    with pytest.raises(UndefinedEfficiencyError):
-        heralding_efficiency(diag, filters)
+    pm = compute_pair_metrics(diag, pair)
+    assert pm.nu is None
+    assert pm.notes == ("nu: undefined without a signal filter",)
 
 
 def test_gaussian_closed_form_values():
@@ -338,61 +332,63 @@ def test_low_excitation_boundary():
 
 def test_compute_pair_metrics_standard_fields():
     pump, wg, filters, grid = _linear_setup(0.1, 2.0, 2.0, n_points=256)
-    pm = compute_pair_metrics(jta_linear(pump, wg, grid), filters)
+    pm = compute_pair_metrics(build_diagonal_jta("linear", pump, wg, grid), filters)
     assert pm.eta == pytest.approx(ETA_01_22, rel=1e-8)
     assert pm.purity == pytest.approx(PURITY_22, abs=1e-6)
     assert pm.nu == pytest.approx(NU_22, rel=1e-8)
     assert pm.schmidt_weights is not None
     assert pm.low_excitation_ok
     assert pm.eta_imag is None
-    # eta and nu are the very floats the public functions return
-    for model, phi in ((jta_linear, 0.1), (jta_simple, 1.0)):
+    # nu is the doubly filtered eta over the signal-only one
+    for model, phi in (("linear", 0.1), ("simple_sxpm", 1.0)):
         for lam, mu in ((2.0, 2.0), (1.0, 3.0)):
             pump, wg, filters, grid = _linear_setup(phi, lam, mu, n_points=256)
-            diag = model(pump, wg, grid)
+            diag = build_diagonal_jta(model, pump, wg, grid)
             pm = compute_pair_metrics(diag, filters)
-            assert pm.eta == pair_probability(diag, filters)
-            assert pm.nu == heralding_efficiency(diag, filters)
+            assert pm.nu == pm.eta / single_sided_eta(diag, filters.signal)
 
 
 def test_compute_pair_metrics_zero_pump():
     pump, wg, filters, grid = _linear_setup(0.0, 2.0, 2.0, n_points=64)
-    pm = compute_pair_metrics(jta_linear(pump, wg, grid), filters)
+    pm = compute_pair_metrics(build_diagonal_jta("linear", pump, wg, grid), filters)
     assert pm.eta == 0.0
     assert pm.purity is None and pm.nu is None and pm.schmidt_weights is None
     assert pm.low_excitation_ok
+    assert pm.notes == (ZERO_PUMP,)
 
 
 @pytest.mark.parametrize("phi", [1e-160, 1e-200])
 def test_compute_pair_metrics_underflowing_eta_is_zero_pump(phi):
     # eta ~ phi^2 is subnormal or zero: purity and nu would divide by it
     pump, wg, filters, grid = _linear_setup(phi, 2.0, 2.0, n_points=64)
-    diag = jta_linear(pump, wg, grid)
+    diag = build_diagonal_jta("linear", pump, wg, grid)
     assert np.any(diag.values != 0.0)
-    pm = compute_pair_metrics(diag, filters, verify_resolution=True)
+    pm = compute_pair_metrics(diag, filters)
     assert pm.eta == 0.0
     assert pm.purity is None and pm.nu is None and pm.schmidt_weights is None
     assert pm.low_excitation_ok
+    assert pm.notes == (ZERO_PUMP,)  # the resolution sentinel skips it
 
 
 def test_compute_pair_metrics_non_conjugated_flag():
     pump, wg, filters, grid = _linear_setup(0.1, 2.0, 2.0, n_points=256)
-    pm = compute_pair_metrics(jta_linear(pump, wg, grid), filters,
+    pm = compute_pair_metrics(build_diagonal_jta("linear", pump, wg, grid), filters,
                               conjugated=False)
     assert pm.eta == pytest.approx(-ETA_01_22, rel=1e-8)
     assert pm.eta_imag == pytest.approx(0.0, abs=1e-18)
     assert pm.eta_conjugated == pytest.approx(ETA_01_22, rel=1e-8)
     # the validity flag still keys on the physical (conjugated) value
     strong = _linear_setup(3.0, 0.5, 0.5, n_points=256)
-    pm2 = compute_pair_metrics(jta_linear(strong[0], strong[1], strong[3]),
+    pm2 = compute_pair_metrics(build_diagonal_jta("linear", strong[0], strong[1], strong[3]),
                                strong[2], conjugated=False)
     assert not pm2.low_excitation_ok
     assert pm2.eta_conjugated > 0.1
+    assert pm2.notes[-1] == validate_low_excitation(pm2.eta_conjugated)[1]
 
 
 def test_compute_pair_metrics_single_sided():
     pump, wg, _, grid = _linear_setup(0.1, 2.0, 0.0, n_points=256)
-    diag = jta_linear(pump, wg, grid)
+    diag = build_diagonal_jta("linear", pump, wg, grid)
     herald_only = FilterPair(FilterSpec(sigma_f=0.25), FilterSpec.unfiltered())
     pm = compute_pair_metrics(diag, herald_only)
     assert pm.eta == pytest.approx(0.0025 / math.sqrt(2.0), rel=1e-10)
@@ -411,7 +407,7 @@ def test_compute_pair_metrics_single_sided():
 def test_factored_schmidt_spectrum_matches_the_dense_oracle(model, lam, mu, n_points):
     # the dense filtered amplitude and its full SVD stay the reference
     pump, wg, filters, grid = _linear_setup(1.0, lam, mu, n_points=n_points)
-    diag = model(pump, wg, grid)
+    diag = build_diagonal_jta(model, pump, wg, grid)
     dense = purity_schmidt(filtered_jta(diag, filters))
     pm = compute_pair_metrics(diag, filters)
     weights = pm.schmidt_weights
@@ -427,7 +423,7 @@ def test_factored_schmidt_spectrum_matches_the_dense_oracle(model, lam, mu, n_po
 def test_factored_schmidt_spectrum_matches_the_dense_oracle_at_1024(lam, mu):
     # lambda = 0.1 gives the signal kernel its highest rank: the longest pivot loop
     pump, wg, filters, grid = _linear_setup(1.0, lam, mu, n_points=1024)
-    diag = jta_simple(pump, wg, grid)
+    diag = build_diagonal_jta("simple_sxpm", pump, wg, grid)
     dense = purity_schmidt(filtered_jta(diag, filters))
     pm = compute_pair_metrics(diag, filters)
     assert len(pm.schmidt_weights) == len(dense.weights)
@@ -438,7 +434,7 @@ def test_factored_schmidt_spectrum_matches_the_dense_oracle_at_1024(lam, mu):
 
 def test_cached_kernel_factors_are_read_only():
     pump, wg, filters, grid = _linear_setup(0.1, 2.0, 2.0, n_points=64)
-    compute_pair_metrics(jta_linear(pump, wg, grid), filters)
+    compute_pair_metrics(build_diagonal_jta("linear", pump, wg, grid), filters)
     p = sfwmsim.metrics._kernel_factor(grid, filters.signal)
     with pytest.raises(ValueError):
         p[0, 0] = 0.0

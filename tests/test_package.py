@@ -47,3 +47,17 @@ def test_the_gaussian_reference_shares_no_code_with_the_package():
     # conftest imports the package, so the reference may not import it either
     assert {name.split(".")[0] for name in modules}.isdisjoint({"sfwmsim", "conftest"})
     assert _unused_imports(reference) == []
+
+
+def test_no_module_raises_or_swallows_warnings():
+    # caveats travel as PairMetrics.notes; a warning filter in one layer could
+    # drop the warnings of every layer below it
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "attr", getattr(func, "id", ""))
+                if name in ("warn", "catch_warnings"):
+                    calls.append(f"{path.name}:{node.lineno}: {name}")
+    assert calls == []

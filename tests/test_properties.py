@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from sfwmsim import (DiagonalJTA, FilterPair, FilterSpec, JointAmplitudeMatrix,
                      TemporalGrid, compute_pair_metrics, filtered_jta, gaussian_eta,
-                     jsa_to_jta, jta_linear, jta_simple, jta_sinc, jta_to_jsa,
+                     build_diagonal_jta, jsa_to_jta, jta_to_jsa,
                      purity_schmidt, schmidt_mode_count)
 from conftest import filter_for_ratio, make_filters, make_grid, make_pump, make_waveguide
 
@@ -36,7 +36,8 @@ def test_single_sided_metrics_ignore_any_diagonal_phase(lam, phi, coeffs,
     none = FilterSpec.unfiltered()
     filters = FilterPair(filt, none) if idler_unfiltered else FilterPair(none, filt)
     grid = make_grid(pump, [filt], n_points=n_points)
-    diag = jta_simple(pump, make_waveguide(), grid)  # carries the SPM/XPM phase
+    # the simple_sxpm tier carries the SPM/XPM phase
+    diag = build_diagonal_jta("simple_sxpm", pump, make_waveguide(), grid)
     c1, c2, c3 = coeffs
     tau = grid.tau
     theta = c1 * tau + c2 * tau ** 2 + c3 * tau ** 3
@@ -57,7 +58,7 @@ def test_single_sided_metrics_ignore_any_diagonal_phase(lam, phi, coeffs,
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(lam=st.floats(0.1, 3.0), mu=st.floats(0.1, 3.0), phi=st.floats(0.05, 2.0),
        sides=st.sampled_from(["both", "signal_only", "idler_only"]),
-       model=st.sampled_from([jta_linear, jta_simple, jta_sinc]),
+       model=st.sampled_from(["linear", "simple_sxpm", "sinc"]),
        n_points=st.sampled_from([64, 128, 256]))
 def test_factored_schmidt_spectrum_equals_the_dense_oracle(lam, mu, phi, sides, model,
                                                           n_points):
@@ -65,7 +66,7 @@ def test_factored_schmidt_spectrum_equals_the_dense_oracle(lam, mu, phi, sides, 
     filters = make_filters(0.0 if sides == "idler_only" else lam,
                            0.0 if sides == "signal_only" else mu, pump)
     grid = make_grid(pump, [filters.signal, filters.idler], n_points=n_points)
-    diag = model(pump, make_waveguide(), grid)
+    diag = build_diagonal_jta(model, pump, make_waveguide(), grid)
     dense = purity_schmidt(filtered_jta(diag, filters))
     weights = compute_pair_metrics(diag, filters).schmidt_weights
     assert len(weights) == len(dense.weights)
@@ -81,7 +82,7 @@ def test_swapping_lambda_and_mu_mirrors_the_pair(lam, mu, phi, n_points):
     pump = make_pump(phi_max=phi)
     filters = make_filters(lam, mu, pump)
     grid = make_grid(pump, [filters.signal, filters.idler], n_points=n_points)
-    diag = jta_simple(pump, make_waveguide(), grid)
+    diag = build_diagonal_jta("simple_sxpm", pump, make_waveguide(), grid)
     plain = compute_pair_metrics(diag, filters)
     swapped = compute_pair_metrics(diag, FilterPair(filters.idler, filters.signal))
     _same(swapped.eta, plain.eta)
@@ -99,8 +100,9 @@ def test_eta_scales_as_phi_squared_in_the_linear_tier(lam, mu, phi, n_points):
     pump = make_pump(phi_max=phi)
     filters = make_filters(lam, mu, pump)
     grid = make_grid(pump, [filters.signal, filters.idler], n_points=n_points)
-    eta = compute_pair_metrics(jta_linear(pump, make_waveguide(), grid), filters).eta
-    doubled = jta_linear(make_pump(phi_max=2.0 * phi), make_waveguide(), grid)
+    wg = make_waveguide()
+    eta = compute_pair_metrics(build_diagonal_jta("linear", pump, wg, grid), filters).eta
+    doubled = build_diagonal_jta("linear", make_pump(phi_max=2.0 * phi), wg, grid)
     assert compute_pair_metrics(doubled, filters).eta / eta == pytest.approx(4.0, rel=1e-12)
     assert eta == pytest.approx(gaussian_eta(phi, lam, mu), rel=1e-8)
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from sfwmsim import (ConfigError, FilterPair, FilterSpec, JointAmplitudeMatrix,
-                     SpectralGrid, TemporalGrid, filtered_jta, jsa_to_jta, jta_linear,
-                     jta_to_jsa, marginal_spectrum, pair_probability, purity_schmidt)
+                     SpectralGrid, TemporalGrid, build_diagonal_jta, compute_pair_metrics,
+                     filtered_jta, jsa_to_jta, jta_to_jsa, marginal_spectrum,
+                     purity_schmidt)
 from conftest import (make_filters, make_grid, make_pump, make_waveguide, reference_jsa,
                       reference_jta)
 
@@ -73,7 +74,7 @@ def test_parseval_and_pair_probability():
     ws = jsa.grid_s.trapezoid_weights
     pw = float(np.sum(ws[:, None] * ws[None, :] * np.abs(jsa.values) ** 2))
     assert pw == pytest.approx(pt, rel=1e-12)
-    eta = pair_probability(jta_linear(pump, wg, grid), filters)
+    eta = compute_pair_metrics(build_diagonal_jta("linear", pump, wg, grid), filters).eta
     assert pt == pytest.approx(eta, rel=1e-10)
 
 
@@ -88,7 +89,7 @@ def test_purity_is_domain_independent():
 def test_spectral_closed_form_peak_value():
     """The linear tier's JSA peaks at i phi / (2 sqrt(2 pi) sigma_w)."""
     pump, wg, filters, grid = _closed_form_setup()
-    jsa = jta_to_jsa(filtered_jta(jta_linear(pump, wg, grid), filters))
+    jsa = jta_to_jsa(filtered_jta(build_diagonal_jta("linear", pump, wg, grid), filters))
     k0 = grid.n_points // 2
     want = 1j * 0.1 / (2.0 * math.sqrt(TWO_PI) * pump.sigma_w)
     assert jsa.values[k0, k0] == pytest.approx(want, rel=1e-14)
