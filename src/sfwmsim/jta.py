@@ -95,9 +95,9 @@ def _mirror(v: np.ndarray) -> np.ndarray:
 def _general_values(wg, p, literal_z):
     """Amplitude integrated over the waveguide by Gauss-Legendre quadrature,
     valid under loss and two-photon absorption. The integral is evaluated at
-    ``QUADRATURE_ORDER`` and at twice that order and the latter returned; a
-    relative change above ``QUADRATURE_TOL`` between the two raises an
-    AccuracyError carrying both estimates."""
+    ``QUADRATURE_ORDER`` and at twice that order and the latter returned.
+    Estimates that are not finite, or a relative change above
+    ``QUADRATURE_TOL`` between them, raise an AccuracyError carrying both."""
     p_col = p[:, None]
     prefactor = 1j * wg.gamma * np.exp(4j * nonlinear_phase(p, wg, wg.length))
     estimates = []
@@ -112,12 +112,15 @@ def _general_values(wg, p, literal_z):
         estimates.append(_mirror(prefactor * (integrand @ wz)))
     coarse, fine = estimates
     norm = np.linalg.norm(fine)
-    change = np.linalg.norm(fine - coarse) / norm if norm > 0.0 else 0.0
+    change = np.linalg.norm(fine - coarse) / norm if norm != 0.0 else 0.0
+    orders = f"orders {QUADRATURE_ORDER} and {2 * QUADRATURE_ORDER}"
+    if not np.isfinite(change):
+        raise AccuracyError(f"quadrature not finite: the estimates of {orders} "
+                            "hold non-finite values", coarse=coarse, fine=fine)
     if change > QUADRATURE_TOL:
         raise AccuracyError(
             f"quadrature not converged: relative change {change:.3e} between "
-            f"orders {QUADRATURE_ORDER} and {2 * QUADRATURE_ORDER} exceeds "
-            f"{QUADRATURE_TOL:.0e}",
+            f"{orders} exceeds {QUADRATURE_TOL:.0e}",
             coarse=coarse, fine=fine)
     return fine[:len(p)]
 

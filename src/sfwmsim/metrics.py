@@ -26,6 +26,13 @@ _WEIGHT_FLOOR = 1e-14  # singular values below this fraction of the top are nois
 # eigenvalues of a weighted filter kernel below this fraction of its largest
 # are round-off: a lower cut keeps only round-off eigenvectors, no accuracy
 _KERNEL_EIG_CUT = 1e-16
+# the rows a Schmidt window leaves out may move each singular value of the
+# core by at most this fraction of the largest: double-precision round-off
+_WINDOW_CUT = 2.0 ** -53
+# a Gram eigendecomposition resolves eigenvalues above 64 eps of its largest;
+# within 4 eps of it they are its round-off (``_window_factor``)
+_GRAM_SPLIT = 2.0 ** -46
+_GRAM_ROUNDOFF = 2.0 ** -50
 
 
 @dataclass(frozen=True)
@@ -47,6 +54,7 @@ class PairMetrics:
 class SchmidtDecomposition:
     purity: float
     weights: np.ndarray
+    scale: float  # the largest singular value; the weights are scale free
 
 
 def _overlap_lags(grid: TemporalGrid) -> np.ndarray:
@@ -165,9 +173,10 @@ def purity_schmidt(matrix: JointAmplitudeMatrix | np.ndarray) -> SchmidtDecompos
     s = np.linalg.svd(weighted, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         raise DegenerateInputError("zero amplitude: Schmidt spectrum undefined")
-    s = s[s > _WEIGHT_FLOOR * s[0]]
-    g = s / math.sqrt(float(np.sum(s ** 2)))
-    return SchmidtDecomposition(purity=float(np.sum(g ** 4)), weights=g)
+    # relative to the largest before squaring, so no scale over- or underflows
+    t = s[s > _WEIGHT_FLOOR * s[0]] / s[0]
+    g = t / math.sqrt(float(np.sum(t ** 2)))
+    return SchmidtDecomposition(purity=float(np.sum(g ** 4)), weights=g, scale=float(s[0]))
 
 
 def _pivoted_cholesky(column, diagonal: np.ndarray) -> np.ndarray:
@@ -250,27 +259,129 @@ def _kernel_factor(grid: TemporalGrid, filt: FilterSpec) -> np.ndarray:
     return p
 
 
-def _schmidt_core(diag: DiagonalJTA, filters: FilterPair) -> np.ndarray:
-    """Core whose singular values are those of the weighted filtered amplitude.
+@functools.lru_cache(maxsize=16)
+def _window_factor(grid: TemporalGrid, filt: FilterSpec, lo: int, hi: int) -> np.ndarray:
+    """F ((hi - lo) x k) with F F^T equal to S S^T for the rows S = P[lo:hi]
+    of the kernel factor P, up to round-off on the singular-value scale, and
+    k near the numerical rank of S, which is far below the rank of P when
+    the window is short.
 
-    That amplitude is M = A^ diag(v / 2 pi) B^, with A^ and B^ the weighted
-    kernels of ``_kernel_factor`` and v the diagonal samples. With
-    A^ = Qa La Qa^T, B^ = Qb Lb Qb^T and Pa = Qa La, Pb = Qb Lb the core is
-    Pa^T diag(v / 2 pi) Pb. An unfiltered side is a delta kernel: M collapses
-    to A^ diag(v) sqrt(2 pi)/2 pi (or its transpose), whose core is
-    Pa^T diag(v sqrt(2 pi) / 2 pi).
+    F = S V for an orthonormal V gives F F^T = S S^T exactly; only the
+    columns that F drops must be negligible. One eigendecomposition of the
+    Gram S^T S = V diag(mu) V^T cannot tell which: the Gram squares the
+    scale, so its eigenvalues carry errors of a few eps times the largest
+    (eps = 2^-52), and its eigenvectors below that are arbitrary mixtures.
+    Those with mu above ``_GRAM_SPLIT`` (64 eps) of the largest are
+    resolved, and their columns S v are kept as they are. The rest,
+    R = S V_rest, then has |R|^2 at most about 64 eps of the largest mu, so
+    a second Gram eigendecomposition, of R^T R, resolves R's singular values
+    down to sqrt(eps * 64 eps) = 8 eps of S's largest. Its columns with mu
+    within ``_GRAM_ROUNDOFF`` (4 eps) of its own largest are round-off and
+    are dropped: each is at most 16 eps of S's largest singular value. A
+    window with fewer rows than P has columns is first replaced by the
+    square T^T, with T the triangular factor of S^T = Q T: T^T T = S S^T.
+
+    Cached per (grid, filter, window); F is read-only.
+    """
+    s = _kernel_factor(grid, filt)[lo:hi]
+    if s.shape[0] < s.shape[1]:
+        s = np.linalg.qr(s.T, mode="r").T
+    mu, v = np.linalg.eigh(s.T @ s)
+    resolved = mu > _GRAM_SPLIT * mu[-1]
+    rest = s @ v[:, ~resolved]
+    mu_rest, v_rest = np.linalg.eigh(rest.T @ rest)
+    kept = mu_rest > _GRAM_ROUNDOFF * np.max(mu_rest, initial=0.0)
+    f = np.hstack([s @ v[:, resolved], rest @ v_rest[:, kept]])
+    f.flags.writeable = False
+    return f
+
+
+def _shortest_window(w: np.ndarray, budget: float) -> tuple[int, int, float]:
+    """The shortest index window [lo, hi) (the first of equal length) whose
+    outside entries of the nonnegative w sum to at most ``budget``, and that
+    sum."""
+    head = np.concatenate([[0.0], np.cumsum(w)])  # head[i] = sum of w[:i]
+    tail = np.concatenate([np.cumsum(w[::-1])[::-1], [0.0]])  # tail[j] = sum of w[j:]
+    los = np.arange(np.searchsorted(head, budget, side="right"))
+    # tail does not increase: the first j with tail[j] <= budget - head[lo]
+    his = np.searchsorted(-tail, head[los] - budget, side="left")
+    lo = int(np.argmin(his - los))
+    hi = int(his[lo])
+    return lo, hi, float(head[lo] + tail[hi])
+
+
+def _core_terms(diag: DiagonalJTA, filters: FilterPair):
+    """The filters whose kernel factors stand on the two sides of the Schmidt
+    core (None for an unfiltered side) and the scaled diagonal samples c.
+
+    The weighted filtered amplitude is M = A^ diag(v / 2 pi) B^, with A^ and
+    B^ the weighted kernels of ``_kernel_factor`` and v the diagonal samples.
+    With A^ = Qa La Qa^T, B^ = Qb Lb Qb^T and Pa = Qa La, Pb = Qb Lb, the
+    core Pa^T diag(c) Pb with c = v / 2 pi has the singular values of M. An
+    unfiltered side is a delta kernel: M collapses to A^ diag(v) sqrt(2 pi)/2 pi
+    (or its transpose), whose core is Pa^T diag(c) with c = v sqrt(2 pi) / 2 pi.
     """
     sig, idl = filters.signal, filters.idler
-    grid = diag.grid
     if sig.is_gaussian and idl.is_gaussian:
-        pa = _kernel_factor(grid, sig)
-        pb = _kernel_factor(grid, idl)
-        v = diag.values / (2.0 * math.pi)
-        # two real products: a complex left factor would copy pb to complex
-        return (pa.T * v.real) @ pb + 1j * ((pa.T * v.imag) @ pb)
-    p = _kernel_factor(grid, sig if sig.is_gaussian else idl)
-    scaled = diag.values * (DELTA_KERNEL_WEIGHT / (2.0 * math.pi))
-    return p.T * scaled[None, :]
+        return sig, idl, diag.values / (2.0 * math.pi)
+    return (sig if sig.is_gaussian else idl), None, diag.values * (
+        DELTA_KERNEL_WEIGHT / (2.0 * math.pi))
+
+
+def _schmidt_window(diag: DiagonalJTA, filters: FilterPair) -> tuple[int, int, float]:
+    """The shortest row window of the Schmidt core that provably moves no
+    singular value by more than round-off, and the bound on how far it can.
+
+    The core is a sum over rows n of the rank-one terms c_n pa_n pb_n^T,
+    with pa_n, pb_n the rows of the kernel factors (a unit row on an
+    unfiltered side). Leaving out the rows outside the window changes the
+    core by a matrix of spectral norm at most sum |c_n| |pa_n| |pb_n| over
+    those rows, and so, by Weyl's inequality, each singular value by at most
+    that much. The window keeps that sum under half of ``_WINDOW_CUT`` times
+    a lower bound on the largest singular value: |x^T C y| for the unit x, y
+    along the two factor rows of the largest term.
+    """
+    filt_a, filt_b, c = _core_terms(diag, filters)
+    pa = _kernel_factor(diag.grid, filt_a)
+    norm_a = np.sqrt(np.einsum("ij,ij->i", pa, pa))
+    if filt_b is None:
+        w = np.abs(c) * norm_a
+        # the core's column n has norm w[n], a lower bound on its largest singular value
+        return _shortest_window(w, 0.5 * _WINDOW_CUT * w.max())
+    pb = _kernel_factor(diag.grid, filt_b)
+    norm_b = norm_a if pb is pa else np.sqrt(np.einsum("ij,ij->i", pb, pb))
+    w = np.abs(c) * norm_a * norm_b
+    j = int(np.argmax(w))
+    xa = pa @ (pa[j] / norm_a[j])
+    yb = xa if pb is pa else pb @ (pb[j] / norm_b[j])
+    return _shortest_window(w, 0.5 * _WINDOW_CUT * abs(np.sum(c * xa * yb)))
+
+
+def _schmidt_core(diag: DiagonalJTA, filters: FilterPair, lo: int, hi: int) -> np.ndarray:
+    """The Schmidt core of ``_core_terms`` on the diagonal rows [lo, hi), each
+    factor replaced by its rank-k reduction F of ``_window_factor``: F has
+    the singular values and left vectors of the factor's rows, so the core
+    keeps its singular values and shrinks to k x k."""
+    filt_a, filt_b, c = _core_terms(diag, filters)
+    fa = _window_factor(diag.grid, filt_a, lo, hi)
+    c = c[lo:hi]
+    if filt_b is None:
+        return fa.T * c[None, :]
+    fb = _window_factor(diag.grid, filt_b, lo, hi)
+    # two real products: a complex left factor would copy fb to complex
+    return (fa.T * c.real) @ fb + 1j * ((fa.T * c.imag) @ fb)
+
+
+def _schmidt_spectrum(diag: DiagonalJTA, filters: FilterPair) -> SchmidtDecomposition:
+    """Schmidt spectrum of the filtered amplitude from the core on the window
+    of ``_schmidt_window``. Should the bound on what the window leaves out
+    exceed ``_WINDOW_CUT`` of the largest singular value after all, the
+    spectrum is taken again on every row."""
+    lo, hi, dropped = _schmidt_window(diag, filters)
+    schmidt = purity_schmidt(_schmidt_core(diag, filters, lo, hi))
+    if dropped > _WINDOW_CUT * schmidt.scale:
+        schmidt = purity_schmidt(_schmidt_core(diag, filters, 0, diag.grid.n_points))
+    return schmidt
 
 
 def schmidt_mode_count(weights: np.ndarray) -> int:
@@ -385,7 +496,7 @@ def compute_pair_metrics(diag: DiagonalJTA, filters: FilterPair,
                            low_excitation_ok=True, eta_conjugated=0.0,
                            notes=tuple(notes))
 
-    schmidt = purity_schmidt(_schmidt_core(diag, filters))
+    schmidt = _schmidt_spectrum(diag, filters)
     eta_report, eta_imag = eta_phys, None
     if both:
         if not conjugated:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import gaussian_reference
+import sfwmsim.jta
 from sfwmsim import (FilterPair, FilterSpec, JointAmplitudeMatrix, PumpPulse, Waveguide,
                      build_temporal_grid)
 
@@ -40,6 +41,19 @@ def make_grid(pump, filters=(), n_points=512, span_sigmas=8.0):
     specs = [f for f in filters if f is not None]
     return build_temporal_grid(pump, specs, span_sigmas=span_sigmas,
                                n_points=n_points)
+
+
+def break_propagate_power(monkeypatch, bad):
+    """Make ``propagate_power`` return ``bad`` (NaN or inf) for one power at
+    one quadrature node of ``general_quadrature``."""
+    real = sfwmsim.jta.propagate_power
+
+    def broken(p, wg, z, literal_z=False):
+        pz = real(p, wg, z, literal_z=literal_z)
+        pz[3, 0] = bad
+        return pz
+
+    monkeypatch.setattr(sfwmsim.jta, "propagate_power", broken)
 
 
 def reference_coefficients(pump, wg, model="linear"):

@@ -20,7 +20,7 @@ from sfwmsim import (MODEL_NAMES, ConfigError, FilterPair, JointAmplitudeMatrix,
                      load_config, marginal_spectrum, validate_config)
 from sfwmsim.cli import (build_diagonal_jta, export_matrix, main,
                          read_matrix_coords)
-from conftest import make_filters, make_pump, make_waveguide
+from conftest import break_propagate_power, make_filters, make_pump, make_waveguide
 
 BASE = {
     "pump": {"P0": 0.1, "sigma_t": 1.0},
@@ -736,6 +736,27 @@ def test_a_warning_raised_while_evaluating_reaches_the_caller(tmp_path, capsys, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_a_non_finite_quadrature_exits_3(tmp_path, capsys, monkeypatch, command, bad):
+    break_propagate_power(monkeypatch, bad)
+    raw = {**BASE, "grid": {"n_points": 64}, "model": "general_quadrature"}
+    argv = [command, "--config", _write_config(tmp_path, raw),
+            "--out", str(tmp_path / "out")]
+    if command == "sweep":
+        argv += ["--sweep", _write_sweep(tmp_path, {"parameter": "phi_max", "values": [0.1],
+                                                    "models": ["general_quadrature"]})]
+    if math.isinf(bad):  # inf times a unit phase: numpy warns of the NaN part
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            assert main(argv) == 3
+    else:
+        assert main(argv) == 3
+    assert capsys.readouterr().err == ("accuracy failure: quadrature not finite: the "
+                                       "estimates of orders 64 and 128 hold non-finite "
+                                       "values\n")
+    assert not (tmp_path / "out").exists()
+
+
 # the README config at N = 64, where the resolution sentinel fires
 _README_64 = {"pump": {"P0": 1.0, "sigma_t": 1.0},
               "waveguide": {"length": 0.005, "gamma": 121.6},
@@ -837,18 +858,22 @@ def test_only_simulate_builds_the_dense_filtered_matrix(tmp_path, monkeypatch):
 
 
 def test_a_sweep_with_equal_filters_factors_one_kernel(tmp_path):
-    # lambda = mu and one grid for every row: one eigendecomposition serves all
+    # lambda = mu and one grid for every row: one eigendecomposition serves
+    # all, and one rank reduction serves each distinct row window of the
+    # Schmidt core (both sides share it)
     cfg = _write_config(tmp_path)
     sweep = _write_sweep(tmp_path, {"parameter": "phi_max",
                                     "values": [0.1 * k for k in range(1, 10)],
                                     "models": ["linear", "simple_sxpm", "sinc",
                                                "general_quadrature"]})
     sfwmsim.metrics._kernel_factor.cache_clear()
+    sfwmsim.metrics._window_factor.cache_clear()
     assert main(["sweep", "--config", cfg, "--sweep", sweep,
                  "--out", str(tmp_path / "sweep.csv")]) == 0
-    info = sfwmsim.metrics._kernel_factor.cache_info()
-    assert info.misses == 1
-    assert info.hits == 2 * 36 - 1
+    assert sfwmsim.metrics._kernel_factor.cache_info().misses == 1
+    windows = sfwmsim.metrics._window_factor.cache_info()
+    assert windows.misses == 2
+    assert windows.hits == 2 * 36 - 2
 
 
 def test_a_sweep_factors_kernels_from_small_eigenproblems(tmp_path, monkeypatch):

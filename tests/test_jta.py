@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ import sfwmsim.jta
 from sfwmsim import (MODEL_NAMES, AccuracyError, ConfigError, DiagonalJTA,
                      ModelCompatibilityError, TemporalGrid, build_diagonal_jta,
                      pump_power_profile)
-from conftest import make_grid, make_pump, make_waveguide
+from conftest import break_propagate_power, make_grid, make_pump, make_waveguide
 
 SINC_HALF = math.sin(0.5) / 0.5  # 0.958851...
 
@@ -121,6 +122,29 @@ def test_general_literal_z_changes_tpa_results():
     a = build_diagonal_jta("general_quadrature", pump, wg, grid)
     b = build_diagonal_jta("general_quadrature", pump, wg, grid, literal_z=True)
     assert np.abs(a.values - b.values).max() > 1e-6
+
+
+def _inf_times_phase_warns(bad):
+    # inf times a unit phase has a NaN part: numpy warns, and the warning reaches the caller
+    if math.isinf(bad):
+        return pytest.warns(RuntimeWarning, match="invalid value")
+    return contextlib.nullcontext()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_a_non_finite_quadrature_is_an_accuracy_error(monkeypatch, bad):
+    """A non-finite integrand makes the relative change NaN, which compares
+    false with any tolerance; it must not pass as converged."""
+    break_propagate_power(monkeypatch, bad)
+    pump = make_pump(phi_max=0.1)
+    grid = make_grid(pump, n_points=64)
+    with _inf_times_phase_warns(bad), pytest.raises(AccuracyError) as excinfo:
+        build_diagonal_jta("general_quadrature", pump, make_waveguide(), grid)
+    assert str(excinfo.value) == ("quadrature not finite: the estimates of orders 64 "
+                                  "and 128 hold non-finite values")
+    coarse, fine = excinfo.value.coarse, excinfo.value.fine
+    assert coarse.shape == fine.shape == (64,)
+    assert not np.all(np.isfinite(fine))
 
 
 def test_general_unconverged_quadrature_raises():

@@ -253,6 +253,18 @@ def test_schmidt_zero_matrix_raises():
         purity_schmidt(matrix)
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_schmidt_purity_does_not_depend_on_the_scale(rng, scale):
+    # the squares of 1e200 overflow and those of 1e-200 underflow
+    matrix = rng.standard_normal((20, 20))
+    plain = purity_schmidt(matrix)
+    scaled = purity_schmidt(scale * matrix)
+    assert scaled.purity == pytest.approx(plain.purity, rel=0.0, abs=1e-15)
+    assert len(scaled.weights) == len(plain.weights)
+    assert np.max(np.abs(scaled.weights - plain.weights)) <= 1e-15
+    assert scaled.scale == pytest.approx(scale * plain.scale, rel=1e-14)
+
+
 def test_schmidt_mode_count():
     assert schmidt_mode_count(np.array([math.sqrt(0.995), math.sqrt(0.005)])) == 1
     uniform = np.full(10, math.sqrt(0.1))
@@ -430,6 +442,101 @@ def test_factored_schmidt_spectrum_matches_the_dense_oracle_at_1024(lam, mu):
     assert np.max(np.abs(pm.schmidt_weights - dense.weights)) <= 1e-12
     assert abs(pm.purity - dense.purity) <= 1e-12
     assert schmidt_mode_count(pm.schmidt_weights) == schmidt_mode_count(dense.weights)
+
+
+def _readme_setup(n_points=512, lam=2.0, mu=2.0, model="simple_sxpm"):
+    """The benchmark's README config: the filter kernels are 4x wider than the
+    pulse, so the diagonal vanishes on most of the grid."""
+    pump = PumpPulse(P0=1.0, sigma_t=1.0)
+    wg = make_waveguide(gamma=121.6, length=0.005)
+    filters = make_filters(lam, mu, pump)
+    grid = make_grid(pump, [filters.signal, filters.idler], n_points=n_points)
+    return build_diagonal_jta(model, pump, wg, grid), filters
+
+
+def _bits(pm):
+    return (pm.eta.hex(), pm.purity.hex(), pm.nu.hex(), pm.schmidt_weights)
+
+
+def test_pair_metrics_do_not_depend_on_the_cache_history():
+    """Cold, warm, beside other cached (grid, filter, window) entries and
+    after they pushed this one out: the same bits every time."""
+    diag, filters = _readme_setup()
+    factors = (sfwmsim.metrics._kernel_factor, sfwmsim.metrics._window_factor)
+    for cache in factors:
+        cache.cache_clear()
+    cold = _bits(compute_pair_metrics(diag, filters))
+    states = [_bits(compute_pair_metrics(diag, filters))]  # warm
+    others = [_readme_setup(512, lam, mu, model)
+              for lam, mu in [(1.5, 2.5), (2.5, 1.5), (3.0, 3.0)]
+              for model in ["linear", "sinc"]]
+    others += [_readme_setup(n, lam, lam) for n in (128, 256, 1024)
+               for lam in (1.2, 1.4, 1.6, 1.8, 2.4)]
+    for other in others[:3]:
+        compute_pair_metrics(*other)
+    states.append(_bits(compute_pair_metrics(diag, filters)))  # beside other entries
+    for other in others:
+        compute_pair_metrics(*other)
+    misses = [cache.cache_info().misses for cache in factors]
+    states.append(_bits(compute_pair_metrics(diag, filters)))  # after eviction
+    # both of its factors were pushed out and built again
+    assert all(cache.cache_info().misses > m for cache, m in zip(factors, misses))
+    for eta, purity, nu, weights in states:
+        assert (eta, purity, nu) == cold[:3]
+        assert np.array_equal(weights, cold[3])
+
+
+@pytest.mark.parametrize("n_points", [256, 512, 1024])
+def test_the_schmidt_window_leaves_out_only_negligible_rows(n_points):
+    diag, filters = _readme_setup(n_points)
+    lo, hi, dropped = sfwmsim.metrics._schmidt_window(diag, filters)
+    assert hi - lo < 0.3 * n_points  # the diagonal is negligible on most rows
+    # Weyl's bound on what the window leaves out, against the dense spectrum
+    dense = filtered_jta(diag, filters)
+    sw = np.sqrt(diag.grid.trapezoid_weights)
+    s = np.linalg.svd(sw[:, None] * dense.values * sw[None, :], compute_uv=False)
+    assert dropped <= 2.0 ** -53 * s[0]
+    window = purity_schmidt(sfwmsim.metrics._schmidt_core(diag, filters, lo, hi))
+    every_row = purity_schmidt(sfwmsim.metrics._schmidt_core(diag, filters, 0, n_points))
+    assert len(window.weights) == len(every_row.weights)
+    assert np.max(np.abs(window.weights - every_row.weights)) <= 1e-15
+    assert abs(window.scale - s[0]) <= 1e-14 * s[0]
+
+
+def test_a_window_that_leaves_out_too_much_falls_back_to_every_row(monkeypatch):
+    diag, filters = _readme_setup()
+    expected = compute_pair_metrics(diag, filters)
+    windows = []
+    real_shortest = sfwmsim.metrics._shortest_window
+    real_core = sfwmsim.metrics._schmidt_core
+    # a budget 1e12 times too large: the window drops rows that matter
+    monkeypatch.setattr(sfwmsim.metrics, "_shortest_window",
+                        lambda w, budget: real_shortest(w, 1e12 * budget))
+    monkeypatch.setattr(sfwmsim.metrics, "_schmidt_core",
+                        lambda d, f, lo, hi: windows.append((lo, hi)) or real_core(d, f, lo, hi))
+    pm = compute_pair_metrics(diag, filters)
+    assert len(windows) == 2 and windows[1] == (0, 512)
+    assert windows[0][1] - windows[0][0] < 100
+    assert len(pm.schmidt_weights) == len(expected.schmidt_weights)
+    assert np.max(np.abs(pm.schmidt_weights - expected.schmidt_weights)) <= 1e-15
+    assert abs(pm.purity - expected.purity) <= 1e-15
+
+
+@pytest.mark.parametrize("n_points, lam", [(64, 2.0), (512, 2.0), (512, 0.1), (1024, 0.3)])
+def test_a_window_factor_spans_the_window_rows_at_their_rank(n_points, lam):
+    diag, filters = _readme_setup(n_points, lam)
+    lo, hi, _ = sfwmsim.metrics._schmidt_window(diag, filters)
+    rows = sfwmsim.metrics._kernel_factor(diag.grid, filters.signal)[lo:hi]
+    f = sfwmsim.metrics._window_factor(diag.grid, filters.signal, lo, hi)
+    assert f.shape[0] == hi - lo
+    assert f.shape[1] <= min(rows.shape)
+    s = np.linalg.svd(rows, compute_uv=False)
+    # its singular values are those of the rows, to round-off of the largest
+    sf = np.linalg.svd(f, compute_uv=False)
+    assert np.max(np.abs(sf - s[:sf.size])) <= 2e-15 * s[0]
+    assert np.all(s[sf.size:] <= 1e-14 * s[0])
+    with pytest.raises(ValueError):
+        f[0, 0] = 0.0
 
 
 def test_cached_kernel_factors_are_read_only():
