@@ -111,12 +111,16 @@ def _general_values(wg, p, literal_z):
         # the convergence check and the AccuracyError see full-grid estimates
         estimates.append(_mirror(prefactor * (integrand @ wz)))
     coarse, fine = estimates
-    norm = np.linalg.norm(fine)
-    change = np.linalg.norm(fine - coarse) / norm if norm != 0.0 else 0.0
     orders = f"orders {QUADRATURE_ORDER} and {2 * QUADRATURE_ORDER}"
-    if not np.isfinite(change):
+    if not (np.all(np.isfinite(coarse)) and np.all(np.isfinite(fine))):
         raise AccuracyError(f"quadrature not finite: the estimates of {orders} "
                             "hold non-finite values", coarse=coarse, fine=fine)
+    # both divided by the power of two at fine's largest component, which is
+    # exact and keeps the norms from overflowing or underflowing
+    peak = max(np.max(np.abs(fine.real)), np.max(np.abs(fine.imag)))
+    scale = np.ldexp(1.0, np.frexp(peak)[1] - 1)
+    norm = np.linalg.norm(fine / scale)
+    change = np.linalg.norm(fine / scale - coarse / scale) / norm if norm != 0.0 else 0.0
     if change > QUADRATURE_TOL:
         raise AccuracyError(
             f"quadrature not converged: relative change {change:.3e} between "

@@ -259,7 +259,9 @@ def _kernel_factor(grid: TemporalGrid, filt: FilterSpec) -> np.ndarray:
     return p
 
 
-@functools.lru_cache(maxsize=16)
+# a phi_max sweep over all four tiers on one grid and filter pair meets 3 to
+# 6 distinct windows (perfbench's sweep_phi_512, 200 seeds)
+@functools.lru_cache(maxsize=8)
 def _window_factor(grid: TemporalGrid, filt: FilterSpec, lo: int, hi: int) -> np.ndarray:
     """F ((hi - lo) x k) with F F^T equal to S S^T for the rows S = P[lo:hi]
     of the kernel factor P, up to round-off on the singular-value scale, and

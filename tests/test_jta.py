@@ -147,6 +147,39 @@ def test_a_non_finite_quadrature_is_an_accuracy_error(monkeypatch, bad):
     assert not np.all(np.isfinite(fine))
 
 
+def _scale_propagate_power(monkeypatch, factor, coarse_factor):
+    """Scale the power at every quadrature node by ``factor``, and at the
+    coarse order's nodes by ``coarse_factor`` on top."""
+    real = sfwmsim.jta.propagate_power
+
+    def scaled(p, wg, z, literal_z=False):
+        extra = coarse_factor if len(z) == sfwmsim.jta.QUADRATURE_ORDER else 1.0
+        return real(p, wg, z, literal_z=literal_z) * factor * extra
+
+    monkeypatch.setattr(sfwmsim.jta, "propagate_power", scaled)
+
+
+@pytest.mark.parametrize("factor", [1e156, 1e160])
+def test_huge_finite_quadrature_estimates_are_checked_for_convergence(monkeypatch, factor):
+    """Estimates whose norms overflow are finite all the same: a relative
+    change of 1e-3 between them is a convergence failure, and agreeing
+    estimates are returned."""
+    pump = make_pump(phi_max=0.1)
+    grid = make_grid(pump, n_points=64)
+    exact = build_diagonal_jta("general_quadrature", pump, make_waveguide(), grid)
+    _scale_propagate_power(monkeypatch, factor, 1.0)
+    agreeing = build_diagonal_jta("general_quadrature", pump, make_waveguide(), grid)
+    np.testing.assert_allclose(agreeing.values, factor * exact.values, rtol=1e-13)
+    monkeypatch.undo()
+    _scale_propagate_power(monkeypatch, factor, 1.001)
+    with pytest.raises(AccuracyError) as excinfo:
+        build_diagonal_jta("general_quadrature", pump, make_waveguide(), grid)
+    assert str(excinfo.value) == ("quadrature not converged: relative change 1.000e-03 "
+                                  "between orders 64 and 128 exceeds 1e-08")
+    assert np.all(np.isfinite(excinfo.value.coarse))
+    assert np.all(np.isfinite(excinfo.value.fine))
+
+
 def test_general_unconverged_quadrature_raises():
     pump = make_pump(phi_max=0.1)
     wg = make_waveguide(delta_beta0=4e4)  # ~6400 oscillations over the length

@@ -472,9 +472,11 @@ def test_pair_metrics_do_not_depend_on_the_cache_history():
               for model in ["linear", "sinc"]]
     others += [_readme_setup(n, lam, lam) for n in (128, 256, 1024)
                for lam in (1.2, 1.4, 1.6, 1.8, 2.4)]
-    for other in others[:3]:
-        compute_pair_metrics(*other)
+    compute_pair_metrics(*others[0])
+    misses = [cache.cache_info().misses for cache in factors]
     states.append(_bits(compute_pair_metrics(diag, filters)))  # beside other entries
+    # its factors were still cached beside the others
+    assert [cache.cache_info().misses for cache in factors] == misses
     for other in others:
         compute_pair_metrics(*other)
     misses = [cache.cache_info().misses for cache in factors]
