@@ -15,34 +15,29 @@ from .filtering import (FilterPair, FilterSpec, JointAmplitudeMatrix, filtered_j
 from .grids import SpectralGrid, TemporalGrid, build_temporal_grid
 from .jta import DiagonalJTA, build_diagonal_jta
 from .metrics import (LOW_EXCITATION_BOUND, PairMetrics, SchmidtDecomposition,
-                      compute_pair_metrics, gaussian_eta, gaussian_nu,
-                      gaussian_purity, purity_quadrature, purity_schmidt,
-                      schmidt_mode_count, single_sided_eta, single_sided_purity,
-                      validate_low_excitation)
-from .pump import (Material, ModeProfile, PumpPulse, RegimeCheckResult,
-                   Waveguide, check_free_carrier_regime, effective_area,
-                   effective_length, nonlinear_parameter, nonlinear_phase,
-                   phi_max, propagate_power, pump_power_profile)
-from .spectral import jsa_to_jta, jta_to_jsa, marginal_spectrum
+                      compute_pair_metrics, gaussian_eta, gaussian_nu, gaussian_purity,
+                      purity_schmidt, schmidt_mode_count, single_sided_eta,
+                      single_sided_purity, validate_low_excitation)
+from .pump import (Material, PumpPulse, RegimeCheckResult, Waveguide,
+                   check_free_carrier_regime, effective_length, nonlinear_parameter,
+                   nonlinear_phase, phi_max, propagate_power, pump_power_profile)
+from .spectral import jta_to_jsa, marginal_spectrum
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AccuracyError", "ConfigError", "DegenerateInputError",
     "DiagonalJTA", "FilterPair", "FilterSpec", "JointAmplitudeMatrix",
-    "LOW_EXCITATION_BOUND", "MODEL_NAMES", "Material", "ModeProfile",
-    "ModelCompatibilityError",
+    "LOW_EXCITATION_BOUND", "MODEL_NAMES", "Material", "ModelCompatibilityError",
     "PairMetrics", "PumpPulse", "RegimeCheckResult", "RegimeCheckSpec",
-    "SchmidtDecomposition", "SimulationConfig",
-    "SimulationError", "SpectralGrid", "TemporalGrid",
-    "Waveguide", "build_diagonal_jta", "build_temporal_grid",
+    "SchmidtDecomposition", "SimulationConfig", "SimulationError", "SpectralGrid",
+    "TemporalGrid", "Waveguide", "build_diagonal_jta", "build_temporal_grid",
     "check_free_carrier_regime", "compute_pair_metrics", "config_from_dict",
-    "effective_area", "effective_length", "filtered_jta",
+    "effective_length", "filtered_jta",
     "gaussian_eta", "gaussian_nu", "gaussian_purity", "gaussian_time_kernel",
-    "jsa_to_jta", "jta_to_jsa", "load_config", "marginal_spectrum",
+    "jta_to_jsa", "load_config", "marginal_spectrum",
     "nonlinear_parameter", "nonlinear_phase", "overlap",
-    "phi_max", "propagate_power", "pump_power_profile", "purity_quadrature",
+    "phi_max", "propagate_power", "pump_power_profile",
     "purity_schmidt", "schmidt_mode_count", "single_sided_eta",
-    "single_sided_purity", "validate_config",
-    "validate_low_excitation",
+    "single_sided_purity", "validate_config", "validate_low_excitation",
 ]

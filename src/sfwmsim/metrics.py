@@ -1,6 +1,6 @@
 """Scalar figures of merit: pair-generation probability, heralded purity
-(singular-value route plus an independent four-fold quadrature), heralding
-efficiency, Schmidt spectrum, and the single-sided-filtering specializations.
+(singular-value route), heralding efficiency, Schmidt spectrum, and the
+single-sided-filtering specializations.
 
 All quadratures work in the generation-time coordinate u = T/sqrt(2); the
 sqrt(2) reappears inside the overlap arguments.
@@ -390,38 +390,6 @@ def schmidt_mode_count(weights: np.ndarray) -> int:
     """Number of leading Schmidt modes needed to capture 99 % of the power."""
     cum = np.cumsum(weights ** 2)
     return int(np.searchsorted(cum, 0.99 - 1e-12) + 1)
-
-
-def fourfold_sum(v: np.ndarray, os: np.ndarray, oi: np.ndarray) -> complex:
-    """Four-index contraction behind the purity quadrature.
-
-    F = sum_{a,b,c,d} v[a] conj(v[b]) v[c] conj(v[d])
-        * os[b,a] * os[d,c] * oi[b,c] * oi[d,a],
-    evaluated in O(N^3) through the exact factorization F = v . (G * G^T) . v
-    with G = (os * conj(v)[:, None])^T @ oi.
-    """
-    g = (os * np.conj(v)[:, None]).T @ oi
-    return complex(v @ (g * g.T) @ v)
-
-
-def purity_quadrature(diag: DiagonalJTA, filters: FilterPair) -> float:
-    """Heralded purity from the four-fold overlap quadrature.
-
-    Independent cross-check of the singular-value route: the four-fold sum
-    shares no factorization with the SVD. It costs O(N^3), like the SVD.
-    """
-    if not (filters.signal.is_gaussian and filters.idler.is_gaussian):
-        raise ConfigError("four-fold purity quadrature needs gaussian filters on both sides")
-    tau = diag.grid.tau
-    v = diag.grid.trapezoid_weights * diag.values
-    sep = math.sqrt(2.0) * (tau[:, None] - tau[None, :])
-    os = overlap(filters.signal, sep)
-    oi = overlap(filters.idler, sep)
-    norm = float(np.real(np.conj(v) @ (os * oi) @ v))
-    if norm == 0.0:
-        raise DegenerateInputError("zero amplitude: heralded purity undefined")
-    f = fourfold_sum(v, os, oi)
-    return float(np.real(f)) / norm ** 2
 
 
 def gaussian_purity(lam: float, mu: float) -> float:

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError
-
 # series branch threshold for ln(1+x)/x, below which the direct quotient
 # loses digits to cancellation
 _LOG1P_SERIES_CUTOFF = 1e-8
@@ -60,32 +58,6 @@ class Material:
     n2: float
     lambda_pump: float
     A_eff: float
-
-
-@dataclass(frozen=True)
-class ModeProfile:
-    """Transverse mode amplitude |F0| sampled on a rectangular grid.
-
-    `core_mask` marks samples inside the nonlinear core; dx/dy are the sample
-    spacings (m).
-    """
-
-    amplitude: np.ndarray
-    core_mask: np.ndarray
-    dx: float = 1.0
-    dy: float = 1.0
-
-    def __post_init__(self):
-        amp = np.asarray(self.amplitude, dtype=float)
-        mask = np.asarray(self.core_mask, dtype=bool)
-        if amp.shape != mask.shape:
-            raise DegenerateInputError("mode profile and core mask shapes differ")
-        if not np.all(np.isfinite(amp)):
-            raise DegenerateInputError("mode profile contains non-finite samples")
-        if not mask.any():
-            raise DegenerateInputError("core mask selects no samples")
-        object.__setattr__(self, "amplitude", amp)
-        object.__setattr__(self, "core_mask", mask)
 
 
 @dataclass(frozen=True)
@@ -144,20 +116,6 @@ def nonlinear_phase(p0, wg: Waveguide, z):
 def nonlinear_parameter(mat: Material) -> float:
     """gamma = 2 pi n2 / (lambda A_eff), in 1/(W m)."""
     return 2.0 * math.pi * mat.n2 / (mat.lambda_pump * mat.A_eff)
-
-
-def effective_area(mode: ModeProfile) -> float:
-    """A_eff = (integral |F0|^2)^2 / integral_core |F0|^4.
-
-    Invariant under rescaling of F0; raises on an identically zero profile.
-    """
-    da = mode.dx * mode.dy
-    intensity = mode.amplitude.astype(float) ** 2
-    total_sq = intensity.sum() * da
-    core_quart = (intensity[mode.core_mask] ** 2).sum() * da
-    if core_quart == 0.0:
-        raise DegenerateInputError("mode profile carries no in-core intensity")
-    return float(total_sq ** 2 / core_quart)
 
 
 def check_free_carrier_regime(photon_energy: float, sigma_FCA: float, T0: float,

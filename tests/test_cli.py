@@ -18,8 +18,8 @@ from sfwmsim import (MODEL_NAMES, ConfigError, FilterPair, JointAmplitudeMatrix,
                      SpectralGrid, TemporalGrid, config_from_dict, filtered_jta,
                      gaussian_eta, gaussian_nu, gaussian_purity, jta_to_jsa,
                      load_config, marginal_spectrum, validate_config)
-from sfwmsim.cli import (build_diagonal_jta, export_matrix, main,
-                         read_matrix_coords)
+from sfwmsim.cli import build_diagonal_jta, export_matrix, main
+from oracles import read_matrix_coords
 from conftest import break_propagate_power, make_filters, make_pump, make_waveguide
 
 BASE = {
@@ -734,6 +734,20 @@ def test_a_warning_raised_while_evaluating_reaches_the_caller(tmp_path, capsys, 
     assert capsys.readouterr().err == (f"accuracy failure: eta is {eta}: the pair "
                                        "amplitude overflows double precision\n")
     assert not (tmp_path / "out").exists()
+
+
+def test_an_overflowing_spectral_amplitude_exits_3_and_writes_nothing(tmp_path, capsys):
+    """A pulse this long gives finite metrics, but its time step overflows the JSA."""
+    raw = {**BASE, "pump": {"P0": 0.1, "sigma_t": 1e150}, "grid": {"n_points": 64}}
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning) as caught:
+        assert main(["simulate", "--config", _write_config(tmp_path, raw),
+                     "--out", str(out)]) == 3
+    assert any("overflow" in str(w.message) for w in caught)
+    assert capsys.readouterr().err == ("accuracy failure: the joint spectral amplitude is "
+                                       "not finite: the transform overflows double "
+                                       "precision\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])

@@ -8,8 +8,8 @@ evaluates every one of the N^4 terms and so stays usable up to N = 64.
 import numpy as np
 import pytest
 
-from sfwmsim import build_diagonal_jta, overlap, purity_quadrature, purity_schmidt
-from sfwmsim.metrics import fourfold_sum
+from sfwmsim import build_diagonal_jta, overlap, purity_schmidt
+from oracles import fourfold_sum, purity_quadrature
 from conftest import make_filters, make_grid, make_pump, make_waveguide, reference_jta
 
 
@@ -64,7 +64,9 @@ def test_purity_quadrature_matches_the_einsum_reference(model):
     os, oi = overlap(filters.signal, sep), overlap(filters.idler, sep)
     norm = float(np.real(np.conj(v) @ (os * oi) @ v))
     want = _reference_einsum(v, os, oi).real / norm ** 2
-    assert purity_quadrature(diag, filters) == pytest.approx(want, rel=1e-12)
+    got = purity_quadrature(grid.tau, diag.values, filters.signal.sigma_f,
+                            filters.idler.sigma_f)
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_purity_quadrature_matches_schmidt_on_a_coarse_grid():
@@ -73,6 +75,7 @@ def test_purity_quadrature_matches_schmidt_on_a_coarse_grid():
     filters = make_filters(2.0, 2.0, pump)
     grid = make_grid(pump, [filters.signal, filters.idler], n_points=64)
     diag = build_diagonal_jta("linear", pump, wg, grid)
-    p = purity_quadrature(diag, filters)
+    p = purity_quadrature(grid.tau, diag.values, filters.signal.sigma_f,
+                          filters.idler.sigma_f)
     matrix = reference_jta(pump, wg, filters, grid)
     assert p == pytest.approx(purity_schmidt(matrix).purity, abs=2e-3)

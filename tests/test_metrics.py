@@ -9,8 +9,9 @@ from sfwmsim import (ConfigError, DegenerateInputError, DiagonalJTA, FilterPair,
                      FilterSpec, PumpPulse, TemporalGrid, build_diagonal_jta,
                      compute_pair_metrics, effective_length, filtered_jta, gaussian_eta,
                      gaussian_nu, gaussian_purity, gaussian_time_kernel, overlap,
-                     purity_quadrature, purity_schmidt, schmidt_mode_count,
-                     single_sided_eta, single_sided_purity, validate_low_excitation)
+                     purity_schmidt, schmidt_mode_count, single_sided_eta,
+                     single_sided_purity, validate_low_excitation)
+from oracles import purity_quadrature
 from conftest import (filter_for_ratio, make_filters, make_grid, make_pump, make_waveguide,
                       reference_coefficients, reference_jta)
 
@@ -276,7 +277,8 @@ def test_schmidt_mode_count():
 def test_purity_quadrature_matches_schmidt():
     pump, wg, filters, grid = _linear_setup(0.1, 2.0, 2.0, n_points=64)
     diag = build_diagonal_jta("linear", pump, wg, grid)
-    quad = purity_quadrature(diag, filters)
+    quad = purity_quadrature(grid.tau, diag.values, filters.signal.sigma_f,
+                             filters.idler.sigma_f)
     assert quad == pytest.approx(PURITY_22, rel=1e-6)
 
 
@@ -285,19 +287,18 @@ def test_purity_quadrature_cost_guard():
     SVD, so it runs on a 256-point grid and stays accurate there."""
     pump, wg, filters, grid = _linear_setup(0.1, 2.0, 2.0, n_points=256)
     diag = build_diagonal_jta("linear", pump, wg, grid)
-    assert purity_quadrature(diag, filters) == pytest.approx(PURITY_22, rel=1e-7)
+    quad = purity_quadrature(grid.tau, diag.values, filters.signal.sigma_f,
+                             filters.idler.sigma_f)
+    assert quad == pytest.approx(PURITY_22, rel=1e-7)
 
 
 def test_purity_quadrature_guards():
     pump, wg, _, grid = _linear_setup(0.1, 2.0, 0.0, n_points=64)
     diag = build_diagonal_jta("linear", pump, wg, grid)
-    one_sided = FilterPair(FilterSpec(sigma_f=0.25), FilterSpec.unfiltered())
-    with pytest.raises(ConfigError):
-        purity_quadrature(diag, one_sided)
-    zero = DiagonalJTA(grid, np.zeros(grid.n_points, dtype=complex))
-    both = make_filters(2.0, 2.0, pump)
-    with pytest.raises(DegenerateInputError):
-        purity_quadrature(zero, both)
+    with pytest.raises(ValueError, match="gaussian filters on both sides"):
+        purity_quadrature(grid.tau, diag.values, 0.25, None)
+    with pytest.raises(ValueError, match="zero amplitude"):
+        purity_quadrature(grid.tau, np.zeros(grid.n_points, dtype=complex), 0.25, 0.25)
 
 
 def test_heralding_efficiency_anchor():

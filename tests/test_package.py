@@ -34,8 +34,8 @@ def test_imports_are_used_and_exports_resolve_once():
     assert missing == []
 
 
-def test_the_gaussian_reference_shares_no_code_with_the_package():
-    reference = Path(__file__).parent / "gaussian_reference.py"
+def _assert_shares_no_code_with_the_package(name):
+    reference = Path(__file__).parent / name
     tree = ast.parse(reference.read_text(encoding="utf-8"))
     imports = [node for node in ast.walk(tree)
                if isinstance(node, (ast.Import, ast.ImportFrom))]
@@ -44,9 +44,29 @@ def test_the_gaussian_reference_shares_no_code_with_the_package():
     modules |= {node.module for node in imports if isinstance(node, ast.ImportFrom)}
     assert modules and all(node.level == 0 for node in imports
                            if isinstance(node, ast.ImportFrom))
-    # conftest imports the package, so the reference may not import it either
+    # conftest imports the package, so a reference may not import it either
     assert {name.split(".")[0] for name in modules}.isdisjoint({"sfwmsim", "conftest"})
     assert _unused_imports(reference) == []
+
+
+def test_the_gaussian_reference_shares_no_code_with_the_package():
+    _assert_shares_no_code_with_the_package("gaussian_reference.py")
+
+
+def test_the_oracles_share_no_code_with_the_package():
+    _assert_shares_no_code_with_the_package("oracles.py")
+
+
+def test_the_package_holds_no_test_only_code():
+    # module-level definitions no other package code names, bar the README's closed forms
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in SRC.glob("*.py") if path.name != "__init__.py"]  # it only re-exports
+    named = {getattr(node, "id", getattr(node, "attr", None))
+             for tree in trees for node in ast.walk(tree)}
+    unnamed = sorted(node.name for tree in trees for node in tree.body
+                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                     and node.name not in named)
+    assert unnamed == ["gaussian_eta", "gaussian_nu", "gaussian_purity"]
 
 
 def test_no_module_raises_or_swallows_warnings():

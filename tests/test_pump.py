@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from sfwmsim import (DegenerateInputError, Material, ModeProfile, PumpPulse,
-                     Waveguide, check_free_carrier_regime, effective_area,
-                     effective_length, nonlinear_parameter, nonlinear_phase,
-                     phi_max, propagate_power, pump_power_profile)
+from sfwmsim import (Material, PumpPulse, Waveguide, check_free_carrier_regime,
+                     effective_length, nonlinear_parameter, nonlinear_phase, phi_max,
+                     propagate_power, pump_power_profile)
 from conftest import make_pump, make_waveguide
 
 
@@ -99,44 +98,6 @@ def test_nonlinear_parameter_silicon_scale():
     """2 pi n2 / (lambda A_eff) lands near the textbook silicon value."""
     mat = Material(n2=6e-18, lambda_pump=1.55e-6, A_eff=2e-13)
     assert nonlinear_parameter(mat) == pytest.approx(121.61, rel=1e-3)
-
-
-def test_effective_area_of_a_gaussian_mode():
-    # (int |F|^2)^2 / int |F|^4 = pi w^2 for F = exp(-r^2/w^2)
-    w = 0.8
-    x = np.linspace(-6.0, 6.0, 481)
-    dx = x[1] - x[0]
-    xx, yy = np.meshgrid(x, x, indexing="ij")
-    amp = np.exp(-(xx ** 2 + yy ** 2) / w ** 2)
-    mode = ModeProfile(amplitude=amp, core_mask=np.ones_like(amp, dtype=bool),
-                       dx=dx, dy=dx)
-    assert effective_area(mode) == pytest.approx(math.pi * w ** 2, rel=1e-6)
-
-
-def test_effective_area_is_scale_invariant():
-    x = np.linspace(-5.0, 5.0, 201)
-    xx, yy = np.meshgrid(x, x, indexing="ij")
-    amp = np.exp(-(xx ** 2 + yy ** 2))
-    mask = np.ones_like(amp, dtype=bool)
-    a1 = effective_area(ModeProfile(amp, mask, dx=0.05, dy=0.05))
-    a2 = effective_area(ModeProfile(3.7 * amp, mask, dx=0.05, dy=0.05))
-    assert a2 == pytest.approx(a1, rel=1e-14)
-
-
-def test_mode_profile_rejects_mismatched_mask():
-    with pytest.raises(DegenerateInputError):
-        ModeProfile(np.ones((4, 4)), np.ones((3, 4), dtype=bool))
-
-
-def test_mode_profile_rejects_empty_core():
-    with pytest.raises(DegenerateInputError):
-        ModeProfile(np.ones((4, 4)), np.zeros((4, 4), dtype=bool))
-
-
-def test_effective_area_zero_profile_raises():
-    mode = ModeProfile(np.zeros((8, 8)), np.ones((8, 8), dtype=bool))
-    with pytest.raises(DegenerateInputError):
-        effective_area(mode)
 
 
 def test_free_carrier_ratio_example():
