@@ -116,20 +116,37 @@ def _write_marginal(path, omega: np.ndarray, spectrum: np.ndarray) -> None:
                                  for w, s in zip(omega.tolist(), spectrum.tolist())])])
 
 
+# the physical range of each bounded figure (the unconjugated eta and its
+# imaginary part may take either sign). Round-off takes purity and nu past 1:
+# a single-sided purity near 1 by up to 6.7e-16, and nu, 1 with the idler
+# unfiltered, moved by at most 7.8e-16 relative on resolved grids
+_ROUNDOFF = 1e-12
+_RANGES = {"eta_conjugated": ("[0, inf)", lambda v: v >= 0.0),
+           "purity": ("(0, 1]", lambda v: 0.0 < v <= 1.0 + _ROUNDOFF),
+           "nu": ("[0, 1]", lambda v: 0.0 <= v <= 1.0 + _ROUNDOFF)}
+
+
 def _evaluate(cfg: SimulationConfig, conjugated: bool, literal_z: bool):
     """Run the model + metrics pipeline; returns (diag, filters, metrics, notes).
 
     A figure that overflows to inf or nan (a peak phase near the square root
-    of the largest double) is an AccuracyError, never a reported number.
+    of the largest double) or leaves its physical range (nu above 1 on a grid
+    too coarse for a filter) is an AccuracyError, never a reported number.
     """
     diag = build_diagonal_jta(cfg.model, cfg.pump, cfg.waveguide, cfg.grid, literal_z)
     filters = FilterPair(cfg.signal_filter, cfg.idler_filter)
     pm = compute_pair_metrics(diag, filters, conjugated=conjugated)
-    for name in ("eta", "eta_imag", "purity", "nu"):
+    for name in ("eta", "eta_imag", *_RANGES):
         value = getattr(pm, name)
         if value is not None and not math.isfinite(value):
             raise AccuracyError(f"{name} is {value!r}: the pair amplitude overflows "
                                 "double precision")
+    for name, (interval, inside) in _RANGES.items():
+        value = getattr(pm, name)
+        if value is not None and not inside(value):
+            raise AccuracyError(f"{name} is {value!r}, outside its physical range "
+                                f"{interval}: the grid may not resolve the pulse or "
+                                "the filters")
     return diag, filters, pm, list(pm.notes)
 
 

@@ -63,12 +63,6 @@ class TemporalGrid:
     def half_width(self) -> float:
         return (self.n_points // 2) * self.dt
 
-    def time_at(self, index: int) -> float:
-        return (index - self.n_points // 2) * self.dt
-
-    def index_of(self, time: float) -> int:
-        return int(round(time / self.dt)) + self.n_points // 2
-
 
 @dataclass(frozen=True)
 class SpectralGrid:

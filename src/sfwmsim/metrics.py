@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError
-from .filtering import (DELTA_KERNEL_WEIGHT, FilterPair, FilterSpec, JointAmplitudeMatrix,
-                        gaussian_time_kernel, overlap)
+from .filtering import (DELTA_KERNEL_WEIGHT, FilterPair, FilterSpec, gaussian_time_kernel,
+                        overlap)
 from .grids import TemporalGrid
 from .jta import DiagonalJTA
 
@@ -155,21 +155,11 @@ def single_sided_purity(diag: DiagonalJTA, signal_filter: FilterSpec) -> float:
     return numerator / (8.0 * math.pi ** 2 * eta ** 2)
 
 
-def purity_schmidt(matrix: JointAmplitudeMatrix | np.ndarray) -> SchmidtDecomposition:
-    """Schmidt spectrum of a sampled two-coordinate amplitude.
-
-    A JointAmplitudeMatrix is measure-weighted (sqrt of the trapezoid weights
-    on each axis) so the singular values approximate the continuum
-    decomposition; a plain array is taken as already weighted, such as the
-    small core of the factored amplitude. Weights are normalized to unit
+def purity_schmidt(weighted: np.ndarray) -> SchmidtDecomposition:
+    """Schmidt spectrum of a measure-weighted two-coordinate amplitude, such as
+    the small core of the factored amplitude. Weights are normalized to unit
     power, purity is their fourth-power sum.
     """
-    if isinstance(matrix, JointAmplitudeMatrix):
-        ws = np.sqrt(matrix.grid_s.trapezoid_weights)
-        wi = np.sqrt(matrix.grid_i.trapezoid_weights)
-        weighted = ws[:, None] * matrix.values * wi[None, :]
-    else:
-        weighted = matrix
     s = np.linalg.svd(weighted, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         raise DegenerateInputError("zero amplitude: Schmidt spectrum undefined")

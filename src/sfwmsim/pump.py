@@ -12,10 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# series branch threshold for ln(1+x)/x, below which the direct quotient
-# loses digits to cancellation
-_LOG1P_SERIES_CUTOFF = 1e-8
-
 
 @dataclass(frozen=True)
 class PumpPulse:
@@ -97,19 +93,14 @@ def propagate_power(p0, wg: Waveguide, z, literal_z: bool = False):
 def nonlinear_phase(p0, wg: Waveguide, z):
     """Accumulated self-phase of the pump, (gamma/alpha2) ln(1 + alpha2 p0 Z_eff).
 
-    Evaluated as gamma * p0 * Z_eff * ln(1+x)/x with a series branch for small
-    x, so the alpha2 -> 0 limit gamma*p0*Z_eff is reached without cancellation.
-    p0 and z broadcast against each other.
+    Evaluated as gamma * p0 * Z_eff * log1p(x)/x with x = alpha2 p0 Z_eff, and
+    the ratio taken as 1 at x = 0, so the alpha2 -> 0 limit gamma*p0*Z_eff is
+    exact; log1p keeps the ratio accurate for small x, where ln(1 + x) would
+    cancel. p0 and z broadcast against each other.
     """
     zeff = effective_length(wg.alpha, z)
-    x = wg.alpha2_P * p0 * zeff
-    x = np.asarray(x, dtype=float)
-    safe = np.where(x > _LOG1P_SERIES_CUTOFF, x, 1.0)
-    ratio = np.where(
-        x > _LOG1P_SERIES_CUTOFF,
-        np.log1p(safe) / safe,
-        1.0 - x / 2.0 + x * x / 3.0,
-    )
+    x = np.asarray(wg.alpha2_P * p0 * zeff, dtype=float)
+    ratio = np.divide(np.log1p(x), x, out=np.ones_like(x), where=x != 0.0)
     return wg.gamma * p0 * zeff * ratio
 
 

@@ -43,6 +43,11 @@ def make_grid(pump, filters=(), n_points=512, span_sigmas=8.0):
                                n_points=n_points)
 
 
+def sample_at(grid, time):
+    """The index of the grid sample at exactly ``time``."""
+    return grid.tau.tolist().index(time)
+
+
 def break_propagate_power(monkeypatch, bad):
     """Make ``propagate_power`` return ``bad`` (NaN or inf) for one power at
     one quadrature node of ``general_quadrature``."""

@@ -10,6 +10,29 @@ import math
 import numpy as np
 
 
+def _trapezoid_weights(coords):
+    """Trapezoid weights of the centred grid ``coords``: the step, halved at both ends."""
+    w = np.full(coords.size, coords[coords.size // 2 + 1])
+    w[[0, -1]] /= 2.0
+    return w
+
+
+def schmidt_spectrum(rows, cols, values):
+    """Heralded purity and Schmidt weights of the amplitude ``values`` sampled at
+    the coordinates rows x cols, from the full SVD of the matrix weighted by the
+    square roots of the trapezoid weights on each axis. Singular values at or
+    below 1e-14 of the largest are noise; the rest, normalized to unit power,
+    are the weights, and the purity is their fourth-power sum."""
+    weighted = (np.sqrt(_trapezoid_weights(rows))[:, None] * values
+                * np.sqrt(_trapezoid_weights(cols))[None, :])
+    s = np.linalg.svd(weighted, compute_uv=False)
+    if not s[0] > 0.0:
+        raise ValueError("zero amplitude: Schmidt spectrum undefined")
+    t = s[s > 1e-14 * s[0]] / s[0]
+    g = t / math.sqrt(float(t @ t))
+    return float(np.sum(g ** 4)), g
+
+
 def fourfold_sum(v, os, oi):
     """F = sum_abcd v[a] conj(v[b]) v[c] conj(v[d]) os[b,a] os[d,c] oi[b,c] oi[d,a],
     in O(N^3) as v . (G * G^T) . v with G = (os * conj(v)[:, None])^T @ oi."""
@@ -24,9 +47,7 @@ def purity_quadrature(tau, amplitude, sigma_s, sigma_i):
     the Schmidt decomposition."""
     if sigma_s is None or sigma_i is None:
         raise ValueError("the four-fold quadrature needs gaussian filters on both sides")
-    w = np.full(tau.size, tau[tau.size // 2 + 1])
-    w[[0, -1]] /= 2.0
-    v = w * amplitude
+    v = _trapezoid_weights(tau) * amplitude
     sep = math.sqrt(2.0) * (tau[:, None] - tau[None, :])
     # a Gaussian filter's self-overlap sigma sqrt(2 pi) exp(-sigma^2 dT^2 / 4)
     os, oi = (s * math.sqrt(2.0 * math.pi) * np.exp(-(s ** 2) * sep ** 2 / 4.0)

@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 
 import gaussian_reference
-from sfwmsim import (FilterPair, FilterSpec, build_diagonal_jta, build_temporal_grid,
+from sfwmsim import (FilterPair, FilterSpec, build_diagonal_jta,
                      check_free_carrier_regime, compute_pair_metrics, effective_length,
                      filtered_jta, gaussian_eta, gaussian_nu, gaussian_purity,
                      jta_to_jsa, nonlinear_phase, propagate_power, pump_power_profile,
-                     purity_schmidt, single_sided_eta, single_sided_purity,
+                     single_sided_eta, single_sided_purity,
                      validate_low_excitation)
-from oracles import jsa_to_jta, purity_quadrature
+from oracles import jsa_to_jta, purity_quadrature, schmidt_spectrum
 from conftest import (make_filters, make_grid, make_pump, make_waveguide,
                       reference_coefficients, reference_jsa, reference_jta)
 
@@ -45,8 +45,8 @@ def test_criterion_01_linear_purity_oracle(capsys):
     for lam in RATIOS:
         for mu in RATIOS:
             pump, wg, filters, grid = _linear_case(0.1, lam, mu)
-            matrix = reference_jta(pump, wg, filters, grid)
-            got = purity_schmidt(matrix).purity
+            diag = build_diagonal_jta("linear", pump, wg, grid)
+            got = compute_pair_metrics(diag, filters).purity
             worst = max(worst, abs(got - gaussian_purity(lam, mu)))
     anchor_err = abs(gaussian_purity(2.0, 2.0) - 0.993808)
     elapsed = time.perf_counter() - t0
@@ -167,8 +167,7 @@ def test_criterion_05_nonlinear_trends(capsys):
         filters = make_filters(2.0, 2.0, pump)
         grid = make_grid(pump, [filters.signal, filters.idler])
         p_simple, p_linear = (
-            purity_schmidt(filtered_jta(build_diagonal_jta(model, pump, wg, grid),
-                                        filters)).purity
+            compute_pair_metrics(build_diagonal_jta(model, pump, wg, grid), filters).purity
             for model in ("simple_sxpm", "linear"))
         p_ref = _spectral_series_purity(pump, wg, filters, "simple_sxpm")
         deltas[phi] = p_simple - p_linear
@@ -232,8 +231,8 @@ def test_criterion_07_fourier_duality(capsys):
     pump, wg, filters, grid = _linear_case(0.1, 2.0, 2.0)
     mt = reference_jta(pump, wg, filters, grid)
     jsa = jta_to_jsa(mt)
-    p_time = purity_schmidt(mt).purity
-    p_freq = purity_schmidt(jsa).purity
+    p_time, _ = schmidt_spectrum(grid.tau, grid.tau, mt.values)
+    p_freq, _ = schmidt_spectrum(jsa.grid_s.omega, jsa.grid_i.omega, jsa.values)
     duality_err = abs(p_freq - p_time)
     _, back = jsa_to_jta(jsa.grid_s.omega, jsa.values)
     round_trip = np.abs(back - mt.values).max() / np.abs(mt.values).max()
@@ -262,7 +261,7 @@ def test_criterion_08_quadrature_vs_svd_purity(capsys):
         diag = build_diagonal_jta(model, pump, wg, grid)
         quad = purity_quadrature(grid.tau, diag.values, filters.signal.sigma_f,
                                  filters.idler.sigma_f)
-        svd = purity_schmidt(filtered_jta(diag, filters)).purity
+        svd = compute_pair_metrics(diag, filters).purity
         gaps.append(abs(quad - svd))
     elapsed = time.perf_counter() - t0
     ok = max(gaps) <= 2e-3 and elapsed <= 120.0

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import itertools
 import json
 import math
@@ -737,17 +738,73 @@ def test_a_warning_raised_while_evaluating_reaches_the_caller(tmp_path, capsys, 
 
 
 def test_an_overflowing_spectral_amplitude_exits_3_and_writes_nothing(tmp_path, capsys):
-    """A pulse this long gives finite metrics, but its time step overflows the JSA."""
+    """A pulse this long would overflow the JSA, but its grid is far too coarse
+    for the filters: nu leaves [0, 1], and simulate stops there, before it
+    builds any matrix."""
     raw = {**BASE, "pump": {"P0": 0.1, "sigma_t": 1e150}, "grid": {"n_points": 64}}
     out = tmp_path / "out"
-    with pytest.warns(RuntimeWarning) as caught:
-        assert main(["simulate", "--config", _write_config(tmp_path, raw),
-                     "--out", str(out)]) == 3
-    assert any("overflow" in str(w.message) for w in caught)
-    assert capsys.readouterr().err == ("accuracy failure: the joint spectral amplitude is "
-                                       "not finite: the transform overflows double "
-                                       "precision\n")
+    assert main(["simulate", "--config", _write_config(tmp_path, raw),
+                 "--out", str(out)]) == 3
+    assert re.fullmatch(r"accuracy failure: nu is 2\.49\d*e\+148, outside its physical "
+                        r"range \[0, 1\]: the grid may not resolve the pulse or the "
+                        r"filters\n", capsys.readouterr().err)
     assert not out.exists()
+
+
+def test_nu_above_1_on_a_coarse_grid_exits_3_and_writes_nothing(tmp_path, capsys):
+    """sigma_f = 50 on both sides (lambda = mu = 0.01) with the README pump at
+    N = 256: the grid is sized by the pulse, dt sigma_f = 3.1, and nu reads 1.2468."""
+    wide = {"shape": "gaussian", "sigma_f": 50.0}
+    raw = {**_README_64, "filters": {"signal": wide, "idler": wide},
+           "grid": {"n_points": 256}}
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", _write_config(tmp_path, raw),
+                 "--out", str(out)]) == 3
+    assert re.fullmatch(r"accuracy failure: nu is 1\.2468\d*, outside its physical range "
+                        r"\[0, 1\]: the grid may not resolve the pulse or the "
+                        r"filters\n", capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_a_sweep_point_with_nu_above_1_exits_3_and_writes_nothing(tmp_path, capsys):
+    raw = {**BASE, "grid": {"n_points": 64}}
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", _write_config(tmp_path, raw), "--sweep",
+                 _write_sweep(tmp_path, {"parameter": "sigma_t", "values": [1.0, 1e150],
+                                         "models": ["linear"]}),
+                 "--out", str(out)]) == 3
+    assert re.fullmatch(r"accuracy failure: nu is 2\.49\d*e\+148, outside its physical "
+                        r"range \[0, 1\]: the grid may not resolve the pulse or the "
+                        r"filters\n", capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value, accepted", [
+    ("purity", 1.0 + 3 * 2.0 ** -52, True),  # as far as a single-sided purity rounds up
+    ("purity", 1.0 + 1e-9, False),
+    ("purity", 0.0, False),
+    ("nu", 1.0 + 4 * 2.0 ** -52, True),
+    ("nu", 1.0 + 1e-9, False),
+    ("nu", -5e-324, False),
+    ("eta_conjugated", -5e-324, False)])
+def test_the_range_check_forgives_only_round_off(tmp_path, capsys, monkeypatch, field,
+                                                 value, accepted):
+    real = sfwmsim.cli.compute_pair_metrics
+    monkeypatch.setattr(sfwmsim.cli, "compute_pair_metrics", lambda *args, **kwargs:
+                        dataclasses.replace(real(*args, **kwargs), **{field: value}))
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--config", _write_config(tmp_path), "--sweep",
+                 _write_sweep(tmp_path, {"parameter": "phi_max", "values": [0.1],
+                                         "models": ["linear"]}), "--out", str(out)])
+    err = capsys.readouterr().err
+    if accepted:
+        assert code == 0 and err == ""
+        with open(out, newline="") as fh:
+            assert next(csv.DictReader(fh))[field] == repr(value)
+    else:
+        assert code == 3 and not out.exists()
+        assert err.startswith(f"accuracy failure: {field} is {value!r}, outside its "
+                              "physical range ")
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])

@@ -9,7 +9,7 @@ from sfwmsim import (ConfigError, FilterPair, FilterSpec, JointAmplitudeMatrix,
                      gaussian_time_kernel, overlap)
 from sfwmsim.filtering import DELTA_KERNEL_WEIGHT
 from conftest import (make_filters, make_grid, make_pump, make_waveguide,
-                      reference_coefficients, reference_jta)
+                      reference_coefficients, reference_jta, sample_at)
 
 TWO_PI = 2.0 * math.pi
 
@@ -109,8 +109,8 @@ def test_closed_form_axis_roles():
     # along tau_s with tau_i = 0 the decay rate is (2 mu^2 + 1) sigma_w^2 / D0
     lam, mu, sw = 2.0, 0.5, pump.sigma_w
     d0 = 2 * lam ** 2 * mu ** 2 + lam ** 2 + mu ** 2
-    k0 = grid.index_of(0.0)
-    k1 = grid.index_of(grid.dt * 8)
+    k0 = sample_at(grid, 0.0)
+    k1 = sample_at(grid, grid.dt * 8)
     t1 = grid.tau[k1]
     got = np.log(np.abs(asym.values[k1, k0] / asym.values[k0, k0]))
     assert got == pytest.approx(-sw ** 2 * (2 * mu ** 2 + 1) * t1 ** 2 / d0,

@@ -69,14 +69,6 @@ def test_builder_floors():
         build_temporal_grid(pump, span_sigmas=float("inf"))
 
 
-def test_time_index_round_trip():
-    grid = TemporalGrid(n_points=64, dt=0.25)
-    for k in (0, 17, 32, 63):
-        assert grid.index_of(grid.time_at(k)) == k
-        assert grid.time_at(k) == grid.tau[k]
-    assert grid.time_at(32) == 0.0
-
-
 def test_half_width():
     grid = TemporalGrid(n_points=128, dt=0.125)
     assert grid.half_width == pytest.approx(64 * 0.125)

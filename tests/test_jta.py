@@ -10,7 +10,8 @@ import sfwmsim.jta
 from sfwmsim import (MODEL_NAMES, AccuracyError, ConfigError, DiagonalJTA,
                      ModelCompatibilityError, TemporalGrid, build_diagonal_jta,
                      pump_power_profile)
-from conftest import break_propagate_power, make_grid, make_pump, make_waveguide
+from conftest import (break_propagate_power, make_grid, make_pump, make_waveguide,
+                      sample_at)
 
 SINC_HALF = math.sin(0.5) / 0.5  # 0.958851...
 
@@ -20,10 +21,10 @@ def test_linear_is_purely_imaginary_with_peak_phi():
     grid = make_grid(pump, n_points=128)
     diag = build_diagonal_jta("linear", pump, make_waveguide(), grid)
     assert np.all(diag.values.real == 0.0)
-    k0 = grid.index_of(0.0)
+    k0 = sample_at(grid, 0.0)
     assert diag.values[k0] == pytest.approx(0.3j)
     # Gaussian envelope of the power profile
-    k1 = grid.index_of(1.0)
+    k1 = sample_at(grid, 1.0)
     assert abs(diag.values[k1]) == pytest.approx(0.3 * math.exp(-0.5), rel=1e-12)
 
 
@@ -37,7 +38,7 @@ def test_simple_sxpm_keeps_the_linear_magnitude():
                                rtol=1e-14, atol=0)
     # each sample rotated by three times the local nonlinear phase
     ratio = spm.values / np.where(lin.values == 0, 1, lin.values)
-    k0 = grid.index_of(0.0)
+    k0 = sample_at(grid, 0.0)
     assert ratio[k0] == pytest.approx(np.exp(3j * 0.8), rel=1e-12)
 
 
@@ -46,7 +47,7 @@ def test_sinc_envelope_at_matched_peak():
     pump = make_pump(phi_max=0.5)
     wg = make_waveguide(delta_beta0=1.0)
     grid = make_grid(pump, n_points=128)
-    k0 = grid.index_of(0.0)
+    k0 = sample_at(grid, 0.0)
     lin = build_diagonal_jta("linear", pump, make_waveguide(), grid)
     snc = build_diagonal_jta("sinc", pump, wg, grid)
     assert abs(snc.values[k0]) == pytest.approx(abs(lin.values[k0]), rel=1e-12)
@@ -58,7 +59,7 @@ def test_sinc_suppression_without_mismatch():
     grid = make_grid(pump, n_points=128)
     lin = build_diagonal_jta("linear", pump, make_waveguide(), grid)
     snc = build_diagonal_jta("sinc", pump, make_waveguide(), grid)
-    k0 = grid.index_of(0.0)
+    k0 = sample_at(grid, 0.0)
     assert abs(snc.values[k0] / lin.values[k0]) == pytest.approx(SINC_HALF,
                                                                  rel=1e-12)
 
@@ -68,7 +69,7 @@ def test_sinc_phase_includes_half_mismatch():
     wg = make_waveguide(delta_beta0=2.5)
     grid = make_grid(pump, n_points=128)
     snc = build_diagonal_jta("sinc", pump, wg, grid)
-    k0 = grid.index_of(0.0)
+    k0 = sample_at(grid, 0.0)
     expected = np.angle(1j * np.exp(1j * (3 * 0.4 + 2.5 / 2.0)))
     assert np.angle(snc.values[k0]) == pytest.approx(expected, abs=1e-12)
 

@@ -11,7 +11,7 @@ from sfwmsim import (ConfigError, DegenerateInputError, DiagonalJTA, FilterPair,
                      gaussian_nu, gaussian_purity, gaussian_time_kernel, overlap,
                      purity_schmidt, schmidt_mode_count, single_sided_eta,
                      single_sided_purity, validate_low_excitation)
-from oracles import purity_quadrature
+from oracles import purity_quadrature, schmidt_spectrum
 from conftest import (filter_for_ratio, make_filters, make_grid, make_pump, make_waveguide,
                       reference_coefficients, reference_jta)
 
@@ -240,8 +240,9 @@ def test_single_sided_purity_zero_amplitude_raises():
 
 def test_schmidt_purity_oracle():
     pump, wg, filters, grid = _linear_setup(0.1, 2.0, 2.0, n_points=256)
-    matrix = reference_jta(pump, wg, filters, grid)
-    dec = purity_schmidt(matrix)
+    sw = np.sqrt(grid.trapezoid_weights)
+    dec = purity_schmidt(sw[:, None] * reference_jta(pump, wg, filters, grid).values
+                         * sw[None, :])
     assert dec.purity == pytest.approx(PURITY_22, abs=1e-6)
     assert np.sum(dec.weights ** 2) == pytest.approx(1.0, rel=1e-12)
     assert np.all(np.diff(dec.weights) <= 0)
@@ -249,9 +250,10 @@ def test_schmidt_purity_oracle():
 
 def test_schmidt_zero_matrix_raises():
     pump, wg, filters, grid = _linear_setup(0.0, 2.0, 2.0, n_points=64)
+    sw = np.sqrt(grid.trapezoid_weights)
     matrix = filtered_jta(build_diagonal_jta("linear", pump, wg, grid), filters)
     with pytest.raises(DegenerateInputError):
-        purity_schmidt(matrix)
+        purity_schmidt(sw[:, None] * matrix.values * sw[None, :])
 
 
 @pytest.mark.parametrize("scale", [1e-200, 1e200])
@@ -421,15 +423,15 @@ def test_factored_schmidt_spectrum_matches_the_dense_oracle(model, lam, mu, n_po
     # the dense filtered amplitude and its full SVD stay the reference
     pump, wg, filters, grid = _linear_setup(1.0, lam, mu, n_points=n_points)
     diag = build_diagonal_jta(model, pump, wg, grid)
-    dense = purity_schmidt(filtered_jta(diag, filters))
+    purity, dense = schmidt_spectrum(grid.tau, grid.tau, filtered_jta(diag, filters).values)
     pm = compute_pair_metrics(diag, filters)
     weights = pm.schmidt_weights
-    assert len(weights) == len(dense.weights)
-    assert np.max(np.abs(weights - dense.weights)) <= 1e-12
-    assert abs(float(np.sum(weights ** 4)) - dense.purity) <= 1e-12
+    assert len(weights) == len(dense)
+    assert np.max(np.abs(weights - dense)) <= 1e-12
+    assert abs(float(np.sum(weights ** 4)) - purity) <= 1e-12
     if lam and mu:
-        assert abs(pm.purity - dense.purity) <= 1e-12
-    assert schmidt_mode_count(weights) == schmidt_mode_count(dense.weights)
+        assert abs(pm.purity - purity) <= 1e-12
+    assert schmidt_mode_count(weights) == schmidt_mode_count(dense)
 
 
 @pytest.mark.parametrize("lam, mu", [(0.1, 2.0), (2.0, 2.0)], ids=["wide_signal_band", "equal"])
@@ -437,12 +439,12 @@ def test_factored_schmidt_spectrum_matches_the_dense_oracle_at_1024(lam, mu):
     # lambda = 0.1 gives the signal kernel its highest rank: the longest pivot loop
     pump, wg, filters, grid = _linear_setup(1.0, lam, mu, n_points=1024)
     diag = build_diagonal_jta("simple_sxpm", pump, wg, grid)
-    dense = purity_schmidt(filtered_jta(diag, filters))
+    purity, dense = schmidt_spectrum(grid.tau, grid.tau, filtered_jta(diag, filters).values)
     pm = compute_pair_metrics(diag, filters)
-    assert len(pm.schmidt_weights) == len(dense.weights)
-    assert np.max(np.abs(pm.schmidt_weights - dense.weights)) <= 1e-12
-    assert abs(pm.purity - dense.purity) <= 1e-12
-    assert schmidt_mode_count(pm.schmidt_weights) == schmidt_mode_count(dense.weights)
+    assert len(pm.schmidt_weights) == len(dense)
+    assert np.max(np.abs(pm.schmidt_weights - dense)) <= 1e-12
+    assert abs(pm.purity - purity) <= 1e-12
+    assert schmidt_mode_count(pm.schmidt_weights) == schmidt_mode_count(dense)
 
 
 def _readme_setup(n_points=512, lam=2.0, mu=2.0, model="simple_sxpm"):

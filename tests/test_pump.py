@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -87,6 +88,15 @@ def test_nonlinear_phase_series_branch_is_continuous():
     a = nonlinear_phase(pump.P0, wg_zero, 1.0)
     b = nonlinear_phase(pump.P0, wg_tiny, 1.0)
     assert b == pytest.approx(a, rel=1e-12)
+
+
+def test_nonlinear_phase_is_the_small_x_series_to_one_ulp():
+    # with gamma = p0 = z = 1 and no loss, theta is log1p(x)/x at x = alpha2_P;
+    # the exact series 1 - x/2 + x^2/3 (the next term is below 1e-24) rounded once
+    for x in [*np.logspace(-300.0, -8.0, 293), *np.linspace(1e-9, 1e-8, 200)]:
+        theta = float(nonlinear_phase(1.0, make_waveguide(alpha2_P=x), 1.0))
+        exact = float(1 - Fraction(x) / 2 + Fraction(x) ** 2 / 3)
+        assert abs(theta - exact) <= math.ulp(exact), x
 
 
 def test_phi_max_product():

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from sfwmsim import (ConfigError, FilterPair, FilterSpec, JointAmplitudeMatrix,
+from sfwmsim import (AccuracyError, ConfigError, FilterPair, FilterSpec, JointAmplitudeMatrix,
                      SpectralGrid, TemporalGrid, build_diagonal_jta, compute_pair_metrics,
-                     filtered_jta, jta_to_jsa, marginal_spectrum, purity_schmidt)
-from oracles import jsa_to_jta
+                     filtered_jta, jta_to_jsa, marginal_spectrum)
+from oracles import jsa_to_jta, schmidt_spectrum
 from conftest import (make_filters, make_grid, make_pump, make_waveguide, reference_jsa,
                       reference_jta)
 
@@ -79,11 +79,23 @@ def test_parseval_and_pair_probability():
     assert pt == pytest.approx(eta, rel=1e-10)
 
 
+def test_a_transform_that_overflows_is_an_accuracy_error():
+    # each axis sums 64 samples times dt / sqrt(2 pi): unit samples 1e200 apart
+    # reach 2.6e201 after the first axis and overflow in the second
+    grid = TemporalGrid(n_points=64, dt=1e200)
+    matrix = JointAmplitudeMatrix(grid, grid, np.ones((64, 64), dtype=complex))
+    with pytest.warns(RuntimeWarning) as caught, pytest.raises(
+            AccuracyError, match="the joint spectral amplitude is not finite"):
+        jta_to_jsa(matrix)
+    assert any("overflow" in str(w.message) for w in caught)
+
+
 def test_purity_is_domain_independent():
     pump, wg, filters, grid = _closed_form_setup()
     mt = reference_jta(pump, wg, filters, grid)
-    p_time = purity_schmidt(mt).purity
-    p_freq = purity_schmidt(jta_to_jsa(mt)).purity
+    jsa = jta_to_jsa(mt)
+    p_time, _ = schmidt_spectrum(grid.tau, grid.tau, mt.values)
+    p_freq, _ = schmidt_spectrum(jsa.grid_s.omega, jsa.grid_i.omega, jsa.values)
     assert p_freq == pytest.approx(p_time, abs=1e-8)
 
 
