@@ -11,7 +11,6 @@ import argparse
 import csv
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import operator
@@ -324,7 +323,7 @@ def _load_sweep_spec(path, cfg: SimulationConfig):
 
     def point_errors(v, key):
         try:
-            whys = scale_violations(_sweep_variant(cfg, param, v, cfg.model))
+            whys = scale_violations(_sweep_variant(cfg, param, v))
         except ConfigError as exc:  # a field the point cannot even be built with
             whys = exc.violations
         return [f"sweep.{key}: {param} {v!r} gives {why}" for why in whys]
@@ -356,10 +355,11 @@ def _count_error(val) -> str | None:
     return None
 
 
-def _sweep_variant(cfg: SimulationConfig, param: str, value: float,
-                   model: str) -> SimulationConfig:
-    """One point of a sweep: the swept fields replaced and the grid rebuilt."""
-    variant = dataclasses.replace(cfg, model=model, **_SWEEP_FIELDS[param](cfg, value))
+def _sweep_variant(cfg: SimulationConfig, param: str, value: float) -> SimulationConfig:
+    """One point of a sweep: the swept fields replaced and the grid rebuilt.
+    The grid depends only on the pump and the filters, so every model of a
+    swept value shares it."""
+    variant = dataclasses.replace(cfg, **_SWEEP_FIELDS[param](cfg, value))
     grid = build_temporal_grid(variant.pump, [variant.signal_filter, variant.idler_filter],
                                span_sigmas=cfg.span_sigmas, n_points=cfg.grid.n_points)
     return dataclasses.replace(variant, grid=grid)
@@ -377,19 +377,22 @@ def _cmd_sweep(args) -> int:
     header += ["purity", "nu", "n_schmidt_modes_99", "warnings"]
 
     rows = []
-    for value, model in itertools.product(values, models):
-        _, _, pm, notes = _evaluate(_sweep_variant(cfg, param, value, model),
-                                    conjugated=conjugated, literal_z=args.as_printed_eq9)
-        n99 = (schmidt_mode_count(pm.schmidt_weights)
-               if pm.schmidt_weights is not None else None)
-        row = [repr(float(value)), model, repr(pm.eta)]
-        if args.non_conjugated_eta:
-            row.append("" if pm.eta_imag is None else repr(pm.eta_imag))
-        row += ["" if pm.purity is None else repr(pm.purity),
-                "" if pm.nu is None else repr(pm.nu),
-                "" if n99 is None else str(n99),
-                "; ".join(notes)]
-        rows.append(row)
+    for value in values:
+        point = _sweep_variant(cfg, param, value)
+        for model in models:
+            _, _, pm, notes = _evaluate(dataclasses.replace(point, model=model),
+                                        conjugated=conjugated,
+                                        literal_z=args.as_printed_eq9)
+            n99 = (schmidt_mode_count(pm.schmidt_weights)
+                   if pm.schmidt_weights is not None else None)
+            row = [repr(float(value)), model, repr(pm.eta)]
+            if args.non_conjugated_eta:
+                row.append("" if pm.eta_imag is None else repr(pm.eta_imag))
+            row += ["" if pm.purity is None else repr(pm.purity),
+                    "" if pm.nu is None else repr(pm.nu),
+                    "" if n99 is None else str(n99),
+                    "; ".join(notes)]
+            rows.append(row)
 
     out = Path(args.out)
     if out.parent and not out.parent.exists():

@@ -11,6 +11,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import chebyshev
 from numpy.polynomial.legendre import leggauss
 
 from .errors import AccuracyError, ConfigError, ModelCompatibilityError
@@ -19,6 +20,11 @@ from .pump import PumpPulse, Waveguide, nonlinear_phase, propagate_power, pump_p
 
 QUADRATURE_TOL = 1e-8
 QUADRATURE_ORDER = 64
+# general_quadrature interpolates F(p)/p: the first number of Chebyshev powers,
+# and the level, relative to the largest coefficient, below which a coefficient
+# is round-off (2e-16 to 2e-15 for the 128-node estimates at m = 33)
+CHEBYSHEV_POINTS = 33
+CHOP_TOL = 2.0 ** -49
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,12 +98,9 @@ def _mirror(v: np.ndarray) -> np.ndarray:
     return np.concatenate([v, v[-2:0:-1]])
 
 
-def _general_values(wg, p, literal_z):
-    """Amplitude integrated over the waveguide by Gauss-Legendre quadrature,
-    valid under loss and two-photon absorption. The integral is evaluated at
-    ``QUADRATURE_ORDER`` and at twice that order and the latter returned.
-    Estimates that are not finite, or a relative change above
-    ``QUADRATURE_TOL`` between them, raise an AccuracyError carrying both."""
+def _estimates(wg, p, literal_z):
+    """The amplitude at the powers ``p``, integrated over the waveguide by
+    Gauss-Legendre quadrature at ``QUADRATURE_ORDER`` and at twice that order."""
     p_col = p[:, None]
     prefactor = 1j * wg.gamma * np.exp(4j * nonlinear_phase(p, wg, wg.length))
     estimates = []
@@ -108,13 +111,16 @@ def _general_values(wg, p, literal_z):
         pz = propagate_power(p_col, wg, z, literal_z=literal_z)
         theta = nonlinear_phase(p_col, wg, z)
         integrand = pz * np.exp(1j * wg.delta_beta0 * z - 2j * theta)
-        # the convergence check and the AccuracyError see full-grid estimates
-        estimates.append(_mirror(prefactor * (integrand @ wz)))
-    coarse, fine = estimates
+        estimates.append(prefactor * (integrand @ wz))
+    return estimates
+
+
+def _quadrature_failure(coarse, fine) -> str | None:
+    """Why two quadrature estimates cannot be trusted: a value that is not
+    finite, or a relative change above ``QUADRATURE_TOL`` between them."""
     orders = f"orders {QUADRATURE_ORDER} and {2 * QUADRATURE_ORDER}"
     if not (np.all(np.isfinite(coarse)) and np.all(np.isfinite(fine))):
-        raise AccuracyError(f"quadrature not finite: the estimates of {orders} "
-                            "hold non-finite values", coarse=coarse, fine=fine)
+        return f"quadrature not finite: the estimates of {orders} hold non-finite values"
     # both divided by the power of two at fine's largest component, which is
     # exact and keeps the norms from overflowing or underflowing
     peak = max(np.max(np.abs(fine.real)), np.max(np.abs(fine.imag)))
@@ -122,10 +128,70 @@ def _general_values(wg, p, literal_z):
     norm = np.linalg.norm(fine / scale)
     change = np.linalg.norm(fine / scale - coarse / scale) / norm if norm != 0.0 else 0.0
     if change > QUADRATURE_TOL:
-        raise AccuracyError(
-            f"quadrature not converged: relative change {change:.3e} between "
-            f"{orders} exceeds {QUADRATURE_TOL:.0e}",
-            coarse=coarse, fine=fine)
+        return (f"quadrature not converged: relative change {change:.3e} between "
+                f"{orders} exceeds {QUADRATURE_TOL:.0e}")
+    return None
+
+
+@functools.cache
+def _chebyshev_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m first-kind Chebyshev points on (-1, 1), increasing, and the
+    matrix that takes values there to the coefficients of the interpolant
+    (discrete orthogonality of T_0 .. T_(m-1)); read-only, as they are shared."""
+    x = chebyshev.chebpts1(m)
+    # T_k(x_j) = cos(k (2i + 1) pi / 2m), i = m - 1 - j, from the exact integer
+    # angle: the three-term recurrence loses k ulps near x = +-1
+    odd = 2 * np.arange(m - 1, -1, -1) + 1
+    to_coeffs = np.cos(np.outer(np.arange(m), odd) % (4 * m) * (np.pi / (2 * m))) * (2.0 / m)
+    to_coeffs[0] /= 2.0
+    x.flags.writeable = False
+    to_coeffs.flags.writeable = False
+    return x, to_coeffs
+
+
+def _chop(coeffs) -> int:
+    """How many leading Chebyshev coefficients to keep: one past the last
+    above ``CHOP_TOL`` times the largest, when at least a quarter of them
+    lie beyond it; otherwise ``len(coeffs)``, as the series has not shown
+    that it reached round-off (after Aurentz & Trefethen 2017, ACM TOMS 43:33)."""
+    mags = np.abs(coeffs)
+    large = np.flatnonzero(mags > CHOP_TOL * mags.max())
+    cut = large[-1] + 1 if large.size else 1
+    return cut if len(coeffs) - cut >= len(coeffs) // 4 else len(coeffs)
+
+
+def _general_values(wg, p, literal_z):
+    """Amplitude integrated over the waveguide by Gauss-Legendre quadrature,
+    valid under loss and two-photon absorption.
+
+    F(p) = p G(p) with G smooth on [0, P0], P0 the largest power. Both
+    estimates are taken at m first-kind Chebyshev powers on (0, P0], m from
+    ``CHEBYSHEV_POINTS`` doubling until the coefficients of G from the finer
+    estimate chop; the values are p times the chopped series. When m reaches
+    the number of distinct powers in ``p``, the lowest Chebyshev power is
+    subnormal (P0 = 0 included), or the estimates there fail their check, the
+    estimates are taken at ``p`` itself and the finer one returned. Estimates that are not finite, or a relative change
+    above ``QUADRATURE_TOL`` between them, raise an AccuracyError carrying
+    both, mirrored onto the full grid."""
+    p_max = np.max(p)
+    distinct = np.unique(p).size
+    m = CHEBYSHEV_POINTS
+    while p_max > 0.0 and m < distinct:
+        x, to_coeffs = _chebyshev_rule(m)
+        nodes = (x + 1.0) * (p_max / 2.0)
+        if nodes[0] < np.finfo(float).tiny:  # a subnormal power: F/p is not resolved
+            break
+        coarse, fine = _estimates(wg, nodes, literal_z)
+        if _quadrature_failure(coarse, fine) is not None:
+            break
+        coeffs = to_coeffs @ (fine / nodes)
+        if (cut := _chop(coeffs)) < m:
+            return p * chebyshev.chebval(p / p_max * 2.0 - 1.0, coeffs[:cut])
+        m *= 2
+    # the check and the AccuracyError see full-grid estimates
+    coarse, fine = (_mirror(e) for e in _estimates(wg, p, literal_z))
+    if (failure := _quadrature_failure(coarse, fine)) is not None:
+        raise AccuracyError(failure, coarse=coarse, fine=fine)
     return fine[:len(p)]
 
 

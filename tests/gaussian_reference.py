@@ -14,8 +14,11 @@ N_FFT = 128  # samples of F on the circle
 KEPT = N_FFT // 2  # only terms n = 1 .. KEPT - 1 are summed: c_0 = F(0) = 0
 
 
-def tier_map(model, gamma, length, delta_beta0=0.0, alpha=0.0, alpha2_P=0.0, **_):
-    """F(p) of a model tier for complex p; the group delay beta1 does not enter."""
+def tier_map(model, gamma, length, delta_beta0=0.0, alpha=0.0, alpha2_P=0.0,
+             literal_z=False, **_):
+    """F(p) of a model tier for complex p; the group delay beta1 does not enter.
+    ``literal_z`` puts the distance z in place of the effective length in the
+    depletion of general_quadrature (not in its phase)."""
     gl, half_db = gamma * length, delta_beta0 * length / 2.0
     if model == "linear":
         return lambda p: 1j * gl * p
@@ -32,7 +35,8 @@ def tier_map(model, gamma, length, delta_beta0=0.0, alpha=0.0, alpha2_P=0.0, **_
     def general(p):
         x = alpha2_P * p[:, None] * z_eff
         theta = gamma * p[:, None] * z_eff * (np.log1p(x) / x if alpha2_P else 1.0)
-        integrand = np.exp((1j * delta_beta0 - alpha) * z - 2j * theta) / (1.0 + x)
+        depletion = 1.0 + alpha2_P * p[:, None] * z if literal_z else 1.0 + x
+        integrand = np.exp((1j * delta_beta0 - alpha) * z - 2j * theta) / depletion
         return 1j * gamma * p * np.exp(4j * theta[:, -1]) * (integrand[:, :-1] @ w)
     return general
 

@@ -478,6 +478,51 @@ def test_sweep_csv_layout(tmp_path):
     assert float(lin[4]) == pytest.approx(gaussian_nu(2, 2), rel=1e-3)
 
 
+def test_a_sweep_builds_one_grid_per_value(tmp_path, monkeypatch):
+    """The grid depends only on the pump and the filters, so the models of a
+    swept value share one; the spec reader's own point checks are not counted."""
+    built = []
+    real_grid, real_reader = sfwmsim.cli.build_temporal_grid, sfwmsim.cli._load_sweep_spec
+
+    def counting(pump, *args, **kwargs):
+        built.append(pump.P0)
+        return real_grid(pump, *args, **kwargs)
+
+    def reader(*args):
+        spec = real_reader(*args)
+        built.clear()
+        return spec
+
+    monkeypatch.setattr(sfwmsim.cli, "build_temporal_grid", counting)
+    monkeypatch.setattr(sfwmsim.cli, "_load_sweep_spec", reader)
+    sweep = _write_sweep(tmp_path, {"parameter": "phi_max", "values": [0.05, 0.1, 0.2],
+                                    "models": list(MODEL_NAMES)})
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", _write_config(tmp_path), "--sweep", sweep,
+                 "--out", str(out)]) == 0
+    assert built == [0.05, 0.1, 0.2]  # gamma = length = 1: P0 is phi_max
+    with open(out, newline="") as fh:
+        assert len(list(csv.reader(fh))) == 1 + 3 * len(MODEL_NAMES)
+
+
+@pytest.mark.parametrize("lossy", [False, True], ids=["lossless", "lossy"])
+def test_a_general_quadrature_sweep_from_zero_pump(tmp_path, lossy):
+    raw = json.loads(json.dumps(BASE))
+    if lossy:
+        raw["waveguide"].update(alpha=0.2, alpha2_P=0.5)
+        raw["model"] = "general_quadrature"
+    sweep = _write_sweep(tmp_path, {"parameter": "phi_max", "values": [0.0, 1.0],
+                                    "models": ["general_quadrature"]})
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", _write_config(tmp_path, raw), "--sweep", sweep,
+                 "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        zero, one = list(csv.reader(fh))[1:]
+    assert zero == ["0.0", "general_quadrature", "0.0", "", "", "",
+                    "zero pump power: conditional quantities are undefined"]
+    assert one[:2] == ["1.0", "general_quadrature"] and float(one[2]) > 0.0
+
+
 def test_main_builds_the_argument_tree_once_per_process(tmp_path, monkeypatch):
     built = []
     init = argparse.ArgumentParser.__init__
@@ -700,7 +745,8 @@ def test_every_point_of_an_accepted_sweep_is_a_valid_config(config, parameter, p
             assert all(re.match(r"line \d+: sweep\.", v) for v in exc.violations), exc
             return
     for value, model in itertools.product(values, accepted):
-        assert validate_config(sfwmsim.cli._sweep_variant(cfg, param, value, model)) == []
+        point = sfwmsim.cli._sweep_variant(cfg, param, value)
+        assert validate_config(dataclasses.replace(point, model=model)) == []
 
 
 def test_sweep_accuracy_failure_propagates(tmp_path):

@@ -7,9 +7,9 @@ from numpy.polynomial.legendre import leggauss
 
 import sfwmsim.jta
 
-from sfwmsim import (MODEL_NAMES, AccuracyError, ConfigError, DiagonalJTA,
-                     ModelCompatibilityError, TemporalGrid, build_diagonal_jta,
-                     pump_power_profile)
+from sfwmsim import (MODEL_NAMES, AccuracyError, ConfigError, DiagonalJTA, FilterSpec,
+                     ModelCompatibilityError, PumpPulse, TemporalGrid, Waveguide,
+                     build_diagonal_jta, pump_power_profile)
 from conftest import (break_propagate_power, make_grid, make_pump, make_waveguide,
                       sample_at)
 
@@ -195,6 +195,95 @@ def test_general_unconverged_quadrature_raises():
         np.testing.assert_array_equal(bits[1:], bits[:0:-1])
     change = np.linalg.norm(fine - coarse) / np.linalg.norm(fine)
     assert f"relative change {change:.3e} between orders 64 and 128" in str(excinfo.value)
+
+
+def _readme_guide(phi, lossy=False, n_points=256):
+    """The README's waveguide, pulse and ratio-2 filters at peak phase ``phi``;
+    lossy is alpha = 20 /m and alpha2_P = 5 /(W m)."""
+    pump = PumpPulse(P0=phi / (121.6 * 0.005), sigma_t=1.0)
+    wg = Waveguide(gamma=121.6, length=0.005, alpha=20.0 if lossy else 0.0,
+                   alpha2_P=5.0 if lossy else 0.0)
+    filt = FilterSpec(sigma_f=0.25)
+    return pump, wg, make_grid(pump, [filt, filt], n_points=n_points)
+
+
+def _powers_per_call(monkeypatch):
+    """The number of powers each ``propagate_power`` call of the builder sees."""
+    rows = []
+    real = sfwmsim.jta.propagate_power
+
+    def counting(p, wg, z, literal_z=False):
+        rows.append(len(p))
+        return real(p, wg, z, literal_z=literal_z)
+
+    monkeypatch.setattr(sfwmsim.jta, "propagate_power", counting)
+    return rows
+
+
+@pytest.mark.parametrize("lossy", [False, True], ids=["lossless", "lossy"])
+@pytest.mark.parametrize("phi", [0.5, 2.0])
+def test_general_quadrature_cost_does_not_depend_on_the_grid_size(monkeypatch, phi, lossy):
+    """Both orders run on the same few Chebyshev powers at every N."""
+    rows = _powers_per_call(monkeypatch)
+    calls = set()
+    for n_points in (256, 512, 1024, 2048):
+        rows.clear()
+        build_diagonal_jta("general_quadrature", *_readme_guide(phi, lossy, n_points))
+        calls.add(tuple(rows))
+    assert len(calls) == 1
+    (powers,) = calls
+    assert len(powers) % 2 == 0 and max(powers) < 65
+
+
+# samples of the README guide at phi_max = 60, N = 256, recorded with the
+# estimates taken on every grid power
+_FALLBACK_SAMPLES = {
+    False: {0: ("-0x0.0p+0", "0x1.2fcf94ed6e89dp-733"),
+            40: ("-0x1.18fbe3fabc603p-685", "0x1.b5f882d7a2c24p-344"),
+            96: ("-0x1.0c082cae49791p-79", "0x1.abc1ea7eb4e23p-41"),
+            120: ("0x1.58b84d5042754p-1", "0x1.61ce8bc84ed29p-1"),
+            128: ("-0x1.f41f0ab212e2fp-3", "0x1.75970952aa359p-3"),
+            200: ("-0x1.f3eb4131ce95fp-455", "0x1.241853800c312p-228")},
+    True: {0: ("-0x0.0p+0", "0x1.211d40714db67p-733"),
+           40: ("-0x1.fce9d89ec0586p-686", "0x1.a0c8c5f576ed3p-344"),
+           96: ("-0x1.e57479f37a35bp-80", "0x1.9710a8356a6e0p-41"),
+           120: ("-0x1.96760a09123abp-2", "0x1.e48bcbb18fa52p-4"),
+           128: ("0x1.5ef26e6e896c4p-3", "-0x1.c26edfd66b822p-1"),
+           200: ("-0x1.c4b8f36c941bap-455", "0x1.15f7152ac24cdp-228")},
+}
+
+
+@pytest.mark.parametrize("lossy", [False, True], ids=["lossless", "lossy"])
+def test_general_quadrature_falls_back_to_the_grid_powers(monkeypatch, lossy):
+    """At phi_max = 60 the series needs more powers than the grid has: the
+    estimates are taken on the N/2 + 1 grid powers, as they were before."""
+    rows = _powers_per_call(monkeypatch)
+    values = build_diagonal_jta("general_quadrature", *_readme_guide(60.0, lossy)).values
+    assert rows[-2:] == [129, 129]
+    assert max(rows[:-2]) < 129
+    got = {k: (values[k].real.hex(), values[k].imag.hex()) for k in _FALLBACK_SAMPLES[lossy]}
+    assert got == _FALLBACK_SAMPLES[lossy]
+
+
+@pytest.mark.parametrize("lossy", [False, True], ids=["lossless", "lossy"])
+def test_general_quadrature_at_zero_pump_is_positive_zero(monkeypatch, lossy):
+    rows = _powers_per_call(monkeypatch)
+    values = build_diagonal_jta("general_quadrature", *_readme_guide(0.0, lossy)).values
+    assert rows == [129, 129]
+    assert {(v.real.hex(), v.imag.hex()) for v in values} == {("0x0.0p+0", "0x0.0p+0")}
+
+
+def test_general_quadrature_with_subnormal_chebyshev_powers_integrates_the_grid(
+        monkeypatch):
+    """At P0 = 3e-308 the lowest Chebyshev powers are subnormal, where F/p is
+    not resolved (numpy warns, and warnings are errors here): the grid powers
+    are integrated instead."""
+    rows = _powers_per_call(monkeypatch)
+    pump = make_pump(phi_max=3e-308)
+    grid = make_grid(pump, n_points=256)
+    values = build_diagonal_jta("general_quadrature", pump, make_waveguide(), grid).values
+    assert rows == [129, 129]
+    assert np.abs(values).max() == pytest.approx(3e-308, rel=1e-3)
 
 
 def test_diagonal_jta_validation():

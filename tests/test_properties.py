@@ -5,7 +5,10 @@ by the diagonal amplitude, and filtering only the signal or only the idler at
 the same bandwidth ratio gives the same numbers), agreement of the factored
 Schmidt spectrum with the dense filtered amplitude, signal/idler symmetry
 with both sides filtered, eta proportional to phi^2 in the linear tier, and
-unitarity of the time-to-frequency transform."""
+unitarity of the time-to-frequency transform, and ``general_quadrature``
+sample by sample against the series reference's map of the power."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -13,7 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 from sfwmsim import (DiagonalJTA, FilterPair, FilterSpec, JointAmplitudeMatrix,
                      TemporalGrid, compute_pair_metrics, filtered_jta, gaussian_eta,
-                     build_diagonal_jta, jta_to_jsa, schmidt_mode_count)
+                     build_diagonal_jta, jta_to_jsa, pump_power_profile,
+                     schmidt_mode_count)
+import gaussian_reference
 from oracles import jsa_to_jta, schmidt_spectrum
 from conftest import filter_for_ratio, make_filters, make_grid, make_pump, make_waveguide
 
@@ -86,6 +91,37 @@ def test_factored_schmidt_spectrum_equals_the_dense_oracle(lam, mu, phi, sides, 
     assert np.max(np.abs(weights - dense)) <= 1e-12
     assert abs(float(np.sum(weights ** 4)) - purity) <= 1e-12
     assert schmidt_mode_count(weights) == schmidt_mode_count(dense)
+
+
+# Whether the builder interpolates on Chebyshev powers or integrates at every
+# grid power, each normal sample is the map F at that power. Near a zero of
+# the mismatch envelope, or where delta_beta0 L is near 2 pi k, the z-integral
+# cancels, and both quadratures are accurate only to about 1e-14 of the
+# uncancelled amplitude gamma p L. 23 of these draws exceed 1e-13 relative at
+# some sample (up to 1.5e-9), with the series and with every grid power
+# integrated alike, and none exceeds 7.1e-15 gamma p L. An amplitude near the
+# subnormal range makes the convergence check's scaling overflow, with a numpy
+# warning, whichever powers it integrates on, so phi is 0 or at least 1e-300.
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(phi=st.one_of(st.just(0.0), st.floats(1e-300, 2.0)),
+       delta_beta0=st.floats(-30.0, 30.0), lossy=st.booleans(), literal_z=st.booleans(),
+       n_points=st.sampled_from([64, 128, 256, 512, 1024, 2048]))
+def test_general_quadrature_matches_the_reference_map_at_every_sample(
+        phi, delta_beta0, lossy, literal_z, n_points):
+    pump = make_pump(phi_max=phi)
+    guide = {"delta_beta0": delta_beta0}
+    if lossy:
+        guide.update(alpha=20.0, alpha2_P=5.0)
+    wg = make_waveguide(**guide)
+    grid = make_grid(pump, n_points=n_points)
+    got = build_diagonal_jta("general_quadrature", pump, wg, grid, literal_z=literal_z).values
+    p = pump_power_profile(pump, grid.tau)
+    assert np.all(got[p == 0.0] == 0.0)
+    normal = (p > 0.0) & (np.abs(got) >= np.finfo(float).tiny)
+    want = gaussian_reference.tier_map("general_quadrature", literal_z=literal_z,
+                                       **dataclasses.asdict(wg))(p[normal])
+    bound = 1e-13 * np.abs(want) + 1e-14 * wg.gamma * wg.length * p[normal]
+    assert np.all(np.abs(got[normal] - want) <= bound)
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
