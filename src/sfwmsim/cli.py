@@ -71,18 +71,18 @@ def _write_lines(path, chunks) -> None:
             fh.write(chunk)
 
 
-def _coords_lines(rows: list[str], cols: list[str], vals: np.ndarray):
+def _coords_lines(coords: list[str], vals: np.ndarray):
     """The (row_coord, col_coord, re, im) table, one matrix row per chunk."""
     yield "row_coord,col_coord,re,im\r\n"
-    for r, row in zip(rows, vals):
+    for r, row in zip(coords, vals):
         yield "".join([f"{r},{c},{re!r},{im!r}\r\n" for c, re, im
-                       in zip(cols, row.real.tolist(), row.imag.tolist())])
+                       in zip(coords, row.real.tolist(), row.imag.tolist())])
 
 
-def _grid_lines(rows: list[str], cols: list[str], table: np.ndarray):
+def _grid_lines(coords: list[str], table: np.ndarray):
     """A grid-layout table: a coord header, then each row led by its coordinate."""
-    yield ",".join(["coord", *cols]) + "\r\n"
-    for r, row in zip(rows, table):
+    yield ",".join(["coord", *coords]) + "\r\n"
+    for r, row in zip(coords, table):
         yield ",".join([r, *map(repr, row.tolist())]) + "\r\n"
 
 
@@ -92,19 +92,18 @@ def export_matrix(matrix: JointAmplitudeMatrix, path) -> list[Path]:
     ``path`` gets one long table (row_coord, col_coord, re, im) in row-major
     order; the sibling grid-layout files ``<stem>_magnitude.csv`` and
     ``<stem>_phase.csv`` hold abs and angle. Floats use repr so a read-back
-    round trip is exact; each coordinate is formatted once per export, and
-    each file is written one matrix row at a time. Returns the three paths
-    written.
+    round trip is exact; the one coordinate list of rows and columns is
+    formatted once per export, and each file is written one matrix row at a
+    time. Returns the three paths written.
     """
     path = Path(path)
-    rows = list(map(repr, _coordinates(matrix.grid_s).tolist()))
-    cols = list(map(repr, _coordinates(matrix.grid_i).tolist()))
+    coords = list(map(repr, _coordinates(matrix.grid).tolist()))
     vals = matrix.values
-    _write_lines(path, _coords_lines(rows, cols, vals))
+    _write_lines(path, _coords_lines(coords, vals))
     paths = [path]
     for suffix, table in (("_magnitude", np.abs(vals)), ("_phase", np.angle(vals))):
         paths.append(path.with_name(path.stem + suffix + ".csv"))
-        _write_lines(paths[-1], _grid_lines(rows, cols, table))
+        _write_lines(paths[-1], _grid_lines(coords, table))
     return paths
 
 
@@ -238,9 +237,8 @@ def _cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     export_matrix(matrix, out / "jta.csv")
     export_matrix(jsa, out / "jsa.csv")
-    for axis, sgrid in (("signal", jsa.grid_s), ("idler", jsa.grid_i)):
-        _write_marginal(out / f"marginal_{axis}.csv", sgrid.omega,
-                        marginal_spectrum(jsa, axis=axis))
+    for axis, spectrum in zip(("signal", "idler"), marginal_spectrum(jsa)):
+        _write_marginal(out / f"marginal_{axis}.csv", jsa.grid.omega, spectrum)
 
     doc = _metrics_document(cfg, pm, notes, regime_result, args)
     with open(out / "metrics.json", "w", encoding="utf-8") as fh:

@@ -91,21 +91,18 @@ def overlap(filt: FilterSpec, dT):
 class JointAmplitudeMatrix:
     """Dense two-coordinate amplitude, in time or frequency domain.
 
-    Rows run over the signal coordinate, columns over the idler coordinate.
-    Both grids are of one type, which fixes the domain.
+    Rows run over the signal coordinate, columns over the idler coordinate,
+    both sampled on ``grid``, whose type fixes the domain.
     """
 
-    grid_s: TemporalGrid | SpectralGrid
-    grid_i: TemporalGrid | SpectralGrid
+    grid: TemporalGrid | SpectralGrid
     values: np.ndarray
 
     def __post_init__(self):
-        if type(self.grid_s) is not type(self.grid_i):
-            raise ConfigError("joint amplitude grids must be of one type")
         v = np.asarray(self.values, dtype=complex)
         if v.ndim != 2:
             raise ConfigError("joint amplitude must be a 2-D matrix")
-        if v.shape != (self.grid_s.n_points, self.grid_i.n_points):
+        if v.shape != (self.grid.n_points,) * 2:
             raise ConfigError("joint amplitude shape does not match its grids")
         if not np.all(np.isfinite(v)):
             raise ConfigError("joint amplitude contains non-finite entries")
@@ -113,8 +110,8 @@ class JointAmplitudeMatrix:
 
     @property
     def domain_tag(self) -> str:
-        """Derived from the grids: "frequency" on spectral grids, else "time"."""
-        return "frequency" if isinstance(self.grid_s, SpectralGrid) else "time"
+        """Derived from the grid: "frequency" on a spectral grid, else "time"."""
+        return "frequency" if isinstance(self.grid, SpectralGrid) else "time"
 
 
 def filtered_jta(diag: DiagonalJTA, filters: FilterPair) -> JointAmplitudeMatrix:
@@ -143,4 +140,4 @@ def filtered_jta(diag: DiagonalJTA, filters: FilterPair) -> JointAmplitudeMatrix
         values = diag.values[None, :] * a * (DELTA_KERNEL_WEIGHT / (2.0 * math.pi))
     else:
         values = diag.values[:, None] * b * (DELTA_KERNEL_WEIGHT / (2.0 * math.pi))
-    return JointAmplitudeMatrix(grid, grid, values)
+    return JointAmplitudeMatrix(grid, values)

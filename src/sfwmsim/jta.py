@@ -42,10 +42,6 @@ class DiagonalJTA:
             raise ConfigError("diagonal amplitude contains non-finite values")
         object.__setattr__(self, "values", v)
 
-    @property
-    def tau(self) -> np.ndarray:
-        return self.grid.tau
-
     def edge_tail_ratio(self) -> float:
         """Largest edge magnitude relative to the peak (0 for a zero amplitude)."""
         mags = np.abs(self.values)
@@ -117,16 +113,22 @@ def _estimates(wg, p, literal_z):
 
 def _quadrature_failure(coarse, fine) -> str | None:
     """Why two quadrature estimates cannot be trusted: a value that is not
-    finite, or a relative change above ``QUADRATURE_TOL`` between them."""
+    finite, or a relative change above ``QUADRATURE_TOL`` between them.
+
+    A peak below 2**-1023 is not checked for a change: the power of two at it
+    has no finite reciprocal, the subnormal estimates hold too few bits for a
+    relative change, and the eta of such an amplitude underflows to zero."""
     orders = f"orders {QUADRATURE_ORDER} and {2 * QUADRATURE_ORDER}"
     if not (np.all(np.isfinite(coarse)) and np.all(np.isfinite(fine))):
         return f"quadrature not finite: the estimates of {orders} hold non-finite values"
+    peak = max(np.max(np.abs(fine.real)), np.max(np.abs(fine.imag)))
+    if peak < 2.0 ** -1023:
+        return None
     # both divided by the power of two at fine's largest component, which is
     # exact and keeps the norms from overflowing or underflowing
-    peak = max(np.max(np.abs(fine.real)), np.max(np.abs(fine.imag)))
     scale = np.ldexp(1.0, np.frexp(peak)[1] - 1)
-    norm = np.linalg.norm(fine / scale)
-    change = np.linalg.norm(fine / scale - coarse / scale) / norm if norm != 0.0 else 0.0
+    scaled = fine / scale
+    change = np.linalg.norm(scaled - coarse / scale) / np.linalg.norm(scaled)
     if change > QUADRATURE_TOL:
         return (f"quadrature not converged: relative change {change:.3e} between "
                 f"{orders} exceeds {QUADRATURE_TOL:.0e}")

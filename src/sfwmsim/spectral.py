@@ -25,27 +25,25 @@ def _axis(x: np.ndarray, step: float, axis: int) -> np.ndarray:
 
 
 def jta_to_jsa(matrix: JointAmplitudeMatrix) -> JointAmplitudeMatrix:
-    """Unitary 2-D transform of a time-domain amplitude onto the conjugate grids.
+    """Unitary 2-D transform of a time-domain amplitude onto the conjugate grid.
 
     A transform that overflows double precision is an AccuracyError.
     """
     if matrix.domain_tag != "time":
         raise ConfigError("forward transform expects a time-domain amplitude")
-    out = _axis(_axis(matrix.values, matrix.grid_s.dt, 0), matrix.grid_i.dt, 1)
+    dt = matrix.grid.dt
+    out = _axis(_axis(matrix.values, dt, 0), dt, 1)
     if not np.all(np.isfinite(out)):
         raise AccuracyError("the joint spectral amplitude is not finite: the transform "
                             "overflows double precision")
-    return JointAmplitudeMatrix(SpectralGrid.conjugate_to(matrix.grid_s),
-                                SpectralGrid.conjugate_to(matrix.grid_i), out)
+    return JointAmplitudeMatrix(SpectralGrid.conjugate_to(matrix.grid), out)
 
 
-def marginal_spectrum(jsa: JointAmplitudeMatrix, axis: str = "signal") -> np.ndarray:
-    """Marginal intensity of |JSA|^2 along one frequency axis (trapezoid rule)."""
+def marginal_spectrum(jsa: JointAmplitudeMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Signal and idler marginal intensities of |JSA|^2, each integrated over
+    the other frequency axis (trapezoid rule)."""
     if jsa.domain_tag != "frequency":
         raise ConfigError("marginal spectra are defined on frequency-domain amplitudes")
     intensity = np.abs(jsa.values) ** 2
-    if axis == "signal":
-        return intensity @ jsa.grid_i.trapezoid_weights
-    if axis == "idler":
-        return jsa.grid_s.trapezoid_weights @ intensity
-    raise ConfigError(f"axis must be 'signal' or 'idler', got {axis!r}")
+    weights = jsa.grid.trapezoid_weights
+    return intensity @ weights, weights @ intensity

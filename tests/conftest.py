@@ -76,7 +76,7 @@ def reference_jta(pump, wg, filters, grid, model="linear"):
     values = gaussian_reference.filtered_jta(
         reference_coefficients(pump, wg, model), pump.sigma_t,
         filters.signal.sigma_f, filters.idler.sigma_f, grid.tau, grid.tau)
-    return JointAmplitudeMatrix(grid, grid, values)
+    return JointAmplitudeMatrix(grid, values)
 
 
 def reference_jsa(pump, wg, filters, sgrid, model="linear"):
@@ -84,7 +84,7 @@ def reference_jsa(pump, wg, filters, sgrid, model="linear"):
     values = gaussian_reference.filtered_jsa(
         reference_coefficients(pump, wg, model), pump.sigma_t,
         _bandwidth(filters.signal), _bandwidth(filters.idler), sgrid.omega, sgrid.omega)
-    return JointAmplitudeMatrix(sgrid, sgrid, values)
+    return JointAmplitudeMatrix(sgrid, values)
 
 
 @pytest.fixture

@@ -232,11 +232,11 @@ def test_criterion_07_fourier_duality(capsys):
     mt = reference_jta(pump, wg, filters, grid)
     jsa = jta_to_jsa(mt)
     p_time, _ = schmidt_spectrum(grid.tau, grid.tau, mt.values)
-    p_freq, _ = schmidt_spectrum(jsa.grid_s.omega, jsa.grid_i.omega, jsa.values)
+    p_freq, _ = schmidt_spectrum(jsa.grid.omega, jsa.grid.omega, jsa.values)
     duality_err = abs(p_freq - p_time)
-    _, back = jsa_to_jta(jsa.grid_s.omega, jsa.values)
+    _, back = jsa_to_jta(jsa.grid.omega, jsa.values)
     round_trip = np.abs(back - mt.values).max() / np.abs(mt.values).max()
-    closed = reference_jsa(pump, wg, filters, jsa.grid_s)
+    closed = reference_jsa(pump, wg, filters, jsa.grid)
     closed_err = (np.abs(jsa.values - closed.values).max()
                   / np.abs(closed.values).max())
     ok = duality_err <= 1e-8 and round_trip <= 1e-12 and closed_err <= 1e-6

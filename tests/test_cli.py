@@ -20,7 +20,7 @@ from sfwmsim import (MODEL_NAMES, ConfigError, FilterPair, JointAmplitudeMatrix,
                      gaussian_eta, gaussian_nu, gaussian_purity, jta_to_jsa,
                      load_config, marginal_spectrum, validate_config)
 from sfwmsim.cli import build_diagonal_jta, export_matrix, main
-from oracles import read_matrix_coords
+from oracles import read_matrix_coords, schmidt_spectrum
 from conftest import break_propagate_power, make_filters, make_pump, make_waveguide
 
 BASE = {
@@ -79,6 +79,27 @@ def test_simulate_underflowing_pump_reports_zero_eta(tmp_path):
     assert any("zero pump" in note for note in doc["warnings"])
 
 
+@pytest.mark.parametrize("lossy", [False, True], ids=["lossless", "lossy"])
+@pytest.mark.parametrize("p0", [1e-310, 1e-320, 3e-308])
+def test_simulate_a_subnormal_general_quadrature_writes_the_zero_pump_row(
+        tmp_path, capsys, p0, lossy):
+    """The quadrature check no longer divides by a subnormal scale: no numpy
+    warning (an error here), and the underflowing eta is the zero-pump row."""
+    raw = json.loads(json.dumps(BASE))
+    raw.update(model="general_quadrature", grid={"n_points": 64})
+    raw["pump"]["P0"] = p0
+    raw["waveguide"]["delta_beta0"] = 3.0
+    if lossy:
+        raw["waveguide"].update(alpha=20.0, alpha2_P=5.0)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", _write_config(tmp_path, raw),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == (
+        "warning: zero pump power: conditional quantities are undefined\n")
+    doc = json.loads((out / "metrics.json").read_text())
+    assert doc["eta"] == 0.0 and doc["purity"] is None
+
+
 def test_exported_matrix_round_trips(tmp_path):
     cfg = _write_config(tmp_path)
     out = tmp_path / "out"
@@ -101,8 +122,7 @@ def _reference_coordinates(grid):
 def _reference_export(matrix, path):
     """The per-element csv.writer loops that used to write the three matrix
     views; the exporter must keep their bytes."""
-    cs = _reference_coordinates(matrix.grid_s)
-    ci = _reference_coordinates(matrix.grid_i)
+    cs = ci = _reference_coordinates(matrix.grid)
     vals = matrix.values
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -140,11 +160,8 @@ def _example_matrix(kind):
     diag = build_diagonal_jta("simple_sxpm", pump, make_waveguide(),
                               TemporalGrid(n_points=16, dt=0.75))
     if kind == "single_sided":
-        # every second signal row of a signal-only filtered amplitude: 8 signal
-        # times on TemporalGrid(8, 1.5) against the 16-point idler diagonal
-        full = filtered_jta(diag, make_filters(2, 0, pump))
-        return JointAmplitudeMatrix(TemporalGrid(n_points=8, dt=1.5), diag.grid,
-                                    full.values[::2])
+        # a signal-only filtered amplitude: the idler stays on its diagonal
+        return filtered_jta(diag, make_filters(2, 0, pump))
     matrix = filtered_jta(diag, make_filters(2, 3, pump))
     return jta_to_jsa(matrix) if kind == "frequency" else matrix
 
@@ -169,8 +186,8 @@ def test_read_matrix_coords_is_bit_exact(tmp_path, kind):
     rows, cols, values = read_matrix_coords(tmp_path / "m.csv")
     assert values.shape == matrix.values.shape
     np.testing.assert_array_equal(_bits(values), _bits(matrix.values))
-    np.testing.assert_array_equal(_bits(rows), _bits(_reference_coordinates(matrix.grid_s)))
-    np.testing.assert_array_equal(_bits(cols), _bits(_reference_coordinates(matrix.grid_i)))
+    np.testing.assert_array_equal(_bits(rows), _bits(_reference_coordinates(matrix.grid)))
+    np.testing.assert_array_equal(_bits(cols), _bits(_reference_coordinates(matrix.grid)))
 
 
 EDGE_VALUES = [-0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 0.0001,
@@ -186,7 +203,7 @@ def _edge_matrix(domain):
     re = np.array([np.roll(EDGE_VALUES, k) * (-1.0) ** k for k in range(8)])
     values = np.empty((8, 8), dtype=complex)
     values.real, values.imag = re, re[::-1, ::-1]
-    return JointAmplitudeMatrix(grid, grid, values)
+    return JointAmplitudeMatrix(grid, values)
 
 
 @pytest.mark.parametrize("domain", ["time", "frequency"])
@@ -197,8 +214,8 @@ def test_export_matrix_edge_values_match_the_reference_writer(tmp_path, domain):
         assert new.read_bytes() == ref.read_bytes(), new.name
     rows, cols, values = read_matrix_coords(paths[0])
     np.testing.assert_array_equal(_bits(values), _bits(matrix.values))
-    np.testing.assert_array_equal(_bits(rows), _bits(_reference_coordinates(matrix.grid_s)))
-    np.testing.assert_array_equal(_bits(cols), _bits(_reference_coordinates(matrix.grid_i)))
+    np.testing.assert_array_equal(_bits(rows), _bits(_reference_coordinates(matrix.grid)))
+    np.testing.assert_array_equal(_bits(cols), _bits(_reference_coordinates(matrix.grid)))
     for part in (values.real, values.imag):
         assert np.any((part == 0.0) & np.signbit(part))
 
@@ -261,9 +278,8 @@ def test_simulate_csv_files_match_the_reference_writer(tmp_path):
     ref.mkdir()
     _reference_export(matrix, ref / "jta.csv")
     _reference_export(jsa, ref / "jsa.csv")
-    for axis, grid in (("signal", jsa.grid_s), ("idler", jsa.grid_i)):
-        _reference_marginal(ref / f"marginal_{axis}.csv", grid.omega,
-                            marginal_spectrum(jsa, axis=axis))
+    for axis, spectrum in zip(("signal", "idler"), marginal_spectrum(jsa)):
+        _reference_marginal(ref / f"marginal_{axis}.csv", jsa.grid.omega, spectrum)
     names = sorted(p.name for p in ref.iterdir())
     assert names == sorted(OUTPUT_FILES[1:])
     for name in names:
@@ -447,6 +463,52 @@ def test_regime_check_with_an_underflowing_denominator(tmp_path, capsys):
     assert doc["regime_check"] == {"ratio": "inf", "passed": True}
 
 
+@pytest.mark.parametrize("I0,status", [(1e12, "128 (passed)"), (1e14, "1.28 (FAILED)")])
+def test_validate_reports_a_finite_regime_ratio(tmp_path, capsys, I0, status):
+    """A finite ratio is printed to 6 significant digits; a failing one also
+    warns on stderr, and validate still exits 0."""
+    raw = json.loads(json.dumps(BASE))
+    raw["regime_check"] = {"photon_energy": 1.28e-19, "sigma_FCA": 1e-21,
+                           "T0": 1e-12, "I0": I0}
+    assert main(["validate", "--config", _write_config(tmp_path, raw)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"configuration ok\nfree-carrier regime check: ratio {status}\n"
+    passed = status.endswith("(passed)")
+    assert captured.err == ("" if passed else "warning: free-carrier check failed: "
+                            "ratio 1.28 is below threshold 10\n")
+
+
+def test_the_99_percent_mode_count_matches_the_dense_oracle(tmp_path):
+    """lambda = 0.5, mu = 2 on the README pump at phi_max = 0.5: the first
+    weight squared lies in [0.98, 0.99), so 99 % takes two modes."""
+    raw = json.loads(json.dumps(BASE))
+    raw.update(model="linear", grid={"n_points": 256},
+               waveguide={"gamma": 121.6, "length": 0.005})
+    raw["pump"]["P0"] = 0.5 / (121.6 * 0.005)
+    raw["filters"]["signal"]["sigma_f"] = 1.0
+    cfg_path = _write_config(tmp_path, raw)
+    cfg = load_config(cfg_path)
+    diag = build_diagonal_jta(cfg.model, cfg.pump, cfg.waveguide, cfg.grid)
+    matrix = filtered_jta(diag, FilterPair(cfg.signal_filter, cfg.idler_filter))
+    _, weights = schmidt_spectrum(cfg.grid.tau, cfg.grid.tau, matrix.values)
+    power = np.cumsum(weights ** 2)
+    assert 0.98 <= power[0] < 0.99
+    want = int(np.argmax(power >= 0.99)) + 1
+    assert want == 2
+
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+    assert json.loads((out / "metrics.json").read_text())["n_schmidt_modes_99"] == want
+    sweep = _write_sweep(tmp_path, {"parameter": "phi_max", "values": [0.5],
+                                    "models": ["linear"]})
+    rows_path = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", cfg_path, "--sweep", sweep,
+                 "--out", str(rows_path)]) == 0
+    with open(rows_path, newline="") as fh:
+        header, row = list(csv.reader(fh))
+    assert row[header.index("n_schmidt_modes_99")] == str(want)
+
+
 def _write_sweep(tmp_path, raw, name="sweep.json"):
     path = tmp_path / name
     path.write_text(json.dumps(raw, indent=2))
@@ -503,6 +565,16 @@ def test_a_sweep_builds_one_grid_per_value(tmp_path, monkeypatch):
     assert built == [0.05, 0.1, 0.2]  # gamma = length = 1: P0 is phi_max
     with open(out, newline="") as fh:
         assert len(list(csv.reader(fh))) == 1 + 3 * len(MODEL_NAMES)
+
+
+def test_a_sweep_creates_the_directory_of_its_output(tmp_path):
+    sweep = _write_sweep(tmp_path, {"parameter": "phi_max", "values": [0.1],
+                                    "models": ["linear"]})
+    out = tmp_path / "new" / "deeper" / "sweep.csv"
+    assert main(["sweep", "--config", _write_config(tmp_path), "--sweep", sweep,
+                 "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        assert len(list(csv.reader(fh))) == 2
 
 
 @pytest.mark.parametrize("lossy", [False, True], ids=["lossless", "lossy"])

@@ -5,7 +5,7 @@ import pytest
 
 from gaussian_reference import KEPT
 from sfwmsim import (ConfigError, FilterPair, FilterSpec, JointAmplitudeMatrix,
-                     SpectralGrid, TemporalGrid, build_diagonal_jta, filtered_jta,
+                     TemporalGrid, build_diagonal_jta, filtered_jta,
                      gaussian_time_kernel, overlap)
 from sfwmsim.filtering import DELTA_KERNEL_WEIGHT
 from conftest import (make_filters, make_grid, make_pump, make_waveguide,
@@ -55,18 +55,14 @@ def test_unfiltered_side_has_no_overlap():
 
 def test_joint_matrix_validation():
     grid = TemporalGrid(n_points=16, dt=0.5)
-    with pytest.raises(ConfigError):
-        JointAmplitudeMatrix(grid, grid, np.ones(16, dtype=complex))
-    with pytest.raises(ConfigError):
-        JointAmplitudeMatrix(grid, grid, np.ones((16, 8), dtype=complex))
+    with pytest.raises(ConfigError, match="must be a 2-D matrix"):
+        JointAmplitudeMatrix(grid, np.ones(16, dtype=complex))
+    with pytest.raises(ConfigError, match="shape does not match its grids"):
+        JointAmplitudeMatrix(grid, np.ones((16, 8), dtype=complex))
     bad = np.ones((16, 16), dtype=complex)
     bad[2, 3] = np.inf
-    with pytest.raises(ConfigError):
-        JointAmplitudeMatrix(grid, grid, bad)
-    sgrid = SpectralGrid.conjugate_to(grid)
-    for grid_s, grid_i in ((grid, sgrid), (sgrid, grid)):
-        with pytest.raises(ConfigError, match="of one type"):
-            JointAmplitudeMatrix(grid_s, grid_i, np.ones((16, 16), dtype=complex))
+    with pytest.raises(ConfigError, match="non-finite"):
+        JointAmplitudeMatrix(grid, bad)
 
 
 @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, -np.inf)])
@@ -74,11 +70,11 @@ def test_joint_matrix_accepts_column_strided_views_and_rejects_strided_non_finit
     grid = TemporalGrid(n_points=16, dt=0.5)
     rng = np.random.default_rng(3)
     wide = rng.standard_normal((16, 32)) + 1j * rng.standard_normal((16, 32))
-    matrix = JointAmplitudeMatrix(grid, grid, wide[:, ::2])
+    matrix = JointAmplitudeMatrix(grid, wide[:, ::2])
     np.testing.assert_array_equal(matrix.values, wide[:, ::2])
     wide[5, 8] = bad
     with pytest.raises(ConfigError, match="non-finite"):
-        JointAmplitudeMatrix(grid, grid, wide[:, ::2])
+        JointAmplitudeMatrix(grid, wide[:, ::2])
 
 
 @pytest.mark.parametrize("lam,mu", [(2.0, 2.0), (1.0, 4.0), (0.5, 2.0)])

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import math
 
 import numpy as np
@@ -233,6 +234,42 @@ def test_general_quadrature_cost_does_not_depend_on_the_grid_size(monkeypatch, p
     assert len(calls) == 1
     (powers,) = calls
     assert len(powers) % 2 == 0 and max(powers) < 65
+
+
+@pytest.mark.parametrize("lossy", [False, True], ids=["lossless", "lossy"])
+def test_general_quadrature_doubles_the_powers_until_a_quarter_of_the_series_is_round_off(
+        monkeypatch, lossy):
+    """At phi_max = 3.5 fewer than a quarter of the 33 coefficients (8) trail
+    the cut, so the series is not trusted to have reached round-off until the
+    powers double."""
+    rows = _powers_per_call(monkeypatch)
+    for n_points in (256, 1024):
+        rows.clear()
+        build_diagonal_jta("general_quadrature", *_readme_guide(3.5, lossy, n_points))
+        assert rows == [33, 33, 66, 66]
+
+
+# sha256 prefixes of the sample bytes at gamma = L = 1, dbeta0 = 3 /m, N = 256,
+# recorded while a peak below 2**-1023 was still checked (and numpy warned)
+_SUBNORMAL_DIGESTS = {(1e-310, False): "0bea433af0afe03b", (1e-310, True): "0e64c7fe5c920fda",
+                      (1e-320, False): "54d115d3676e10b0", (1e-320, True): "3e06bb8affa4a806",
+                      (3e-308, False): "c3de628d5c90c889", (3e-308, True): "24dab73ad97f2a03"}
+
+
+@pytest.mark.parametrize("lossy", [False, True], ids=["lossless", "lossy"])
+@pytest.mark.parametrize("p0", [1e-310, 1e-320, 3e-308])
+def test_general_quadrature_near_the_subnormal_range_warns_nothing(p0, lossy):
+    """A peak below 2**-1023 is not checked for a change, so nothing divides by
+    a subnormal scale (numpy warned, and warnings are errors here); the
+    samples keep their bits. At 3e-308 the lossless peak is above 2**-1023
+    and is still checked."""
+    pump = PumpPulse(P0=p0, sigma_t=1.0)
+    wg = make_waveguide(delta_beta0=3.0, alpha=20.0 if lossy else 0.0,
+                        alpha2_P=5.0 if lossy else 0.0)
+    values = build_diagonal_jta("general_quadrature", pump, wg,
+                                make_grid(pump, n_points=256)).values
+    assert 0.0 < np.abs(values).max() < np.finfo(float).tiny
+    assert hashlib.sha256(values.tobytes()).hexdigest()[:16] == _SUBNORMAL_DIGESTS[p0, lossy]
 
 
 # samples of the README guide at phi_max = 60, N = 256, recorded with the

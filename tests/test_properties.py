@@ -168,12 +168,12 @@ def test_jta_to_jsa_is_unitary(n_points, dt, log_scale, seed, sparse):
         values *= rng.random((n_points, n_points)) < 0.1
         values[rng.integers(n_points), rng.integers(n_points)] = 10.0 ** log_scale
     grid = TemporalGrid(n_points, dt)
-    jta = JointAmplitudeMatrix(grid, grid, values)
+    jta = JointAmplitudeMatrix(grid, values)
     jsa = jta_to_jsa(jta)
     power_t = np.sum(np.abs(values) ** 2) * grid.dt ** 2
-    power_w = np.sum(np.abs(jsa.values) ** 2) * jsa.grid_s.d_omega * jsa.grid_i.d_omega
+    power_w = np.sum(np.abs(jsa.values) ** 2) * jsa.grid.d_omega * jsa.grid.d_omega
     assert power_w == pytest.approx(power_t, rel=1e-12, abs=0.0)
-    tau, back = jsa_to_jta(jsa.grid_s.omega, jsa.values)
+    tau, back = jsa_to_jta(jsa.grid.omega, jsa.values)
     assert tau.size == n_points
     assert tau[n_points // 2 + 1] == pytest.approx(dt, rel=1e-15)
     scale = np.max(np.abs(values))
