@@ -29,10 +29,9 @@ _KERNEL_EIG_CUT = 1e-16
 # the rows a Schmidt window leaves out may move each singular value of the
 # core by at most this fraction of the largest: double-precision round-off
 _WINDOW_CUT = 2.0 ** -53
-# a Gram eigendecomposition resolves eigenvalues above 64 eps of its largest;
-# within 4 eps of it they are its round-off (``_window_factor``)
-_GRAM_SPLIT = 2.0 ** -46
-_GRAM_ROUNDOFF = 2.0 ** -50
+# a window factor drops the singular directions of its rows at or below this
+# fraction (16 eps) of the largest: they are the SVD's round-off
+_RANK_CUT = 2.0 ** -48
 
 
 @dataclass(frozen=True)
@@ -255,35 +254,23 @@ def _kernel_factor(grid: TemporalGrid, filt: FilterSpec) -> np.ndarray:
 def _window_factor(grid: TemporalGrid, filt: FilterSpec, lo: int, hi: int) -> np.ndarray:
     """F ((hi - lo) x k) with F F^T equal to S S^T for the rows S = P[lo:hi]
     of the kernel factor P, up to round-off on the singular-value scale, and
-    k near the numerical rank of S, which is far below the rank of P when
-    the window is short.
+    k the numerical rank of S, which is far below the rank of P when the
+    window is short.
 
-    F = S V for an orthonormal V gives F F^T = S S^T exactly; only the
-    columns that F drops must be negligible. One eigendecomposition of the
-    Gram S^T S = V diag(mu) V^T cannot tell which: the Gram squares the
-    scale, so its eigenvalues carry errors of a few eps times the largest
-    (eps = 2^-52), and its eigenvectors below that are arbitrary mixtures.
-    Those with mu above ``_GRAM_SPLIT`` (64 eps) of the largest are
-    resolved, and their columns S v are kept as they are. The rest,
-    R = S V_rest, then has |R|^2 at most about 64 eps of the largest mu, so
-    a second Gram eigendecomposition, of R^T R, resolves R's singular values
-    down to sqrt(eps * 64 eps) = 8 eps of S's largest. Its columns with mu
-    within ``_GRAM_ROUNDOFF`` (4 eps) of its own largest are round-off and
-    are dropped: each is at most 16 eps of S's largest singular value. A
-    window with fewer rows than P has columns is first replaced by the
-    square T^T, with T the triangular factor of S^T = Q T: T^T T = S S^T.
+    F = S V_k, with V_k the right singular vectors of S whose singular values
+    exceed ``_RANK_CUT`` of the largest, taken from the SVD of the square
+    triangular factor R of S = Q R. Each dropped column is at most 16 eps of
+    S's largest singular value. A window with fewer rows than P has columns
+    is first replaced by the square T^T, with T the triangular factor of
+    S^T = Q T: T^T T = S S^T.
 
     Cached per (grid, filter, window); F is read-only.
     """
     s = _kernel_factor(grid, filt)[lo:hi]
     if s.shape[0] < s.shape[1]:
         s = np.linalg.qr(s.T, mode="r").T
-    mu, v = np.linalg.eigh(s.T @ s)
-    resolved = mu > _GRAM_SPLIT * mu[-1]
-    rest = s @ v[:, ~resolved]
-    mu_rest, v_rest = np.linalg.eigh(rest.T @ rest)
-    kept = mu_rest > _GRAM_ROUNDOFF * np.max(mu_rest, initial=0.0)
-    f = np.hstack([s @ v[:, resolved], rest @ v_rest[:, kept]])
+    _, sv, vt = np.linalg.svd(np.linalg.qr(s, mode="r"))
+    f = s @ vt[sv > _RANK_CUT * sv[0]].T
     f.flags.writeable = False
     return f
 

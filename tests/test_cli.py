@@ -1067,18 +1067,22 @@ def test_a_sweep_with_equal_filters_factors_one_kernel(tmp_path):
 
 def test_a_sweep_factors_kernels_from_small_eigenproblems(tmp_path, monkeypatch):
     """The kernel factors take eigh of the r x r Gram of a pivoted Cholesky
-    factor, never of a dense N/2 x N/2 kernel block."""
-    shapes = []
-    real = np.linalg.eigh
+    factor, never of a dense N/2 x N/2 kernel block, and every SVD (a window
+    factor's or a Schmidt core's) is of a matrix far smaller than N x N."""
+    shapes, svd_shapes = [], []
+    real, real_svd = np.linalg.eigh, np.linalg.svd
     monkeypatch.setattr(np.linalg, "eigh",
                         lambda x, *a, **k: shapes.append(np.shape(x)) or real(x, *a, **k))
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda x, *a, **k: svd_shapes.append(np.shape(x)) or real_svd(x, *a, **k))
     sfwmsim.metrics._kernel_factor.cache_clear()
+    sfwmsim.metrics._window_factor.cache_clear()
     sweep = _write_sweep(tmp_path, {"parameter": "lambda", "values": [2.0],
                                     "models": ["simple_sxpm"]})
     assert main(["sweep", "--config", _write_config(tmp_path), "--sweep", sweep,
                  "--out", str(tmp_path / "sweep.csv"), "--grid-points", "1024"]) == 0
-    assert shapes
-    assert all(max(shape) <= 256 for shape in shapes)
+    assert shapes and svd_shapes
+    assert all(max(shape) <= 256 for shape in shapes + svd_shapes)
 
 
 def test_simulate_peak_estimate_grows_as_n_squared():

@@ -536,6 +536,8 @@ def test_a_window_factor_spans_the_window_rows_at_their_rank(n_points, lam):
     assert f.shape[0] == hi - lo
     assert f.shape[1] <= min(rows.shape)
     s = np.linalg.svd(rows, compute_uv=False)
+    # it keeps every singular direction above 2**-48 of the largest, no other
+    assert f.shape[1] == np.count_nonzero(s > 2.0 ** -48 * s[0])
     # its singular values are those of the rows, to round-off of the largest
     sf = np.linalg.svd(f, compute_uv=False)
     assert np.max(np.abs(sf - s[:sf.size])) <= 2e-15 * s[0]

@@ -77,6 +77,23 @@ def test_the_package_holds_no_test_only_code():
                        "gaussian_purity"]
 
 
+def test_no_new_method_name_is_shared_between_package_classes():
+    # the guard above matches bare names, so a dead method passes it while
+    # code reads a same-named attribute of another class; both grids define
+    # and read trapezoid_weights, and no other name may join it
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")]
+    owners = {}
+    for tree in trees:
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for node in cls.body:
+                    if (isinstance(node, ast.FunctionDef)
+                            and not (node.name.startswith("__") and node.name.endswith("__"))):
+                        owners.setdefault(node.name, set()).add(cls.name)
+    assert {name for name, classes in owners.items() if len(classes) > 1} == {
+        "trapezoid_weights"}
+
+
 def test_no_module_raises_or_swallows_warnings():
     # caveats travel as PairMetrics.notes; a warning filter in one layer could
     # drop the warnings of every layer below it
