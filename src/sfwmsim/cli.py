@@ -57,33 +57,31 @@ def _coordinates(grid) -> np.ndarray:
     return grid.tau if hasattr(grid, "tau") else grid.omega
 
 
-def _write_lines(path, chunks) -> None:
-    """Write pre-joined CSV text, one ``write`` per chunk as it streams in.
+def _line_table(shape, fields):
+    """A NUL-filled byte table of ``shape`` CSV lines, and a view of its field
+    slots for each (count, width) run of ``fields``.
 
-    The float tables are written this way, not through ``csv.writer``: their
-    fields are reprs of finite floats and fixed header names, none of which
-    holds a comma, quote or line break, so joining them with "," and ending
-    each line with CRLF gives the csv module's default-dialect bytes without
-    its per-field cost.
+    Every slot is followed by a comma, the last one by CRLF. The fields are
+    reprs of finite floats and fixed header names, none of which holds a
+    comma, quote or line break, so once the NULs are dropped the lines are the
+    csv module's default-dialect bytes.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        for chunk in chunks:
-            fh.write(chunk)
+    lines = np.zeros((*shape, sum(count * (width + 1) for count, width in fields) + 1),
+                     dtype=np.uint8)
+    views, start = [], 0
+    for count, width in fields:
+        slots = lines[..., start:start + count * (width + 1)].reshape(
+            *shape, count, width + 1)
+        slots[..., width] = ord(",")
+        views.append(slots[..., :width])
+        start += count * (width + 1)
+    lines[..., -2:] = np.frombuffer(b"\r\n", dtype=np.uint8)
+    return lines, views
 
 
-def _coords_lines(coords: list[str], vals: np.ndarray):
-    """The (row_coord, col_coord, re, im) table, one matrix row per chunk."""
-    yield "row_coord,col_coord,re,im\r\n"
-    for r, row in zip(coords, vals):
-        yield "".join([f"{r},{c},{re!r},{im!r}\r\n" for c, re, im
-                       in zip(coords, row.real.tolist(), row.imag.tolist())])
-
-
-def _grid_lines(coords: list[str], table: np.ndarray):
-    """A grid-layout table: a coord header, then each row led by its coordinate."""
-    yield ",".join(["coord", *coords]) + "\r\n"
-    for r, row in zip(coords, table):
-        yield ",".join([r, *map(repr, row.tolist())]) + "\r\n"
+def _text(table) -> bytes:
+    """The bytes of a formatted table with its NULs dropped."""
+    return table.tobytes().translate(None, b"\0")
 
 
 def export_matrix(matrix: JointAmplitudeMatrix, path) -> list[Path]:
@@ -91,27 +89,63 @@ def export_matrix(matrix: JointAmplitudeMatrix, path) -> list[Path]:
 
     ``path`` gets one long table (row_coord, col_coord, re, im) in row-major
     order; the sibling grid-layout files ``<stem>_magnitude.csv`` and
-    ``<stem>_phase.csv`` hold abs and angle. Floats use repr so a read-back
-    round trip is exact; the one coordinate list of rows and columns is
-    formatted once per export, and each file is written one matrix row at a
-    time. Returns the three paths written.
+    ``<stem>_phase.csv`` hold abs and angle. Floats are written as their
+    ``repr``, so a read-back round trip is exact. The one coordinate list of
+    rows and columns is formatted once per export; the values, their
+    magnitude and their phase are formatted a block of rows at a time, and
+    each file is written one matrix row at a time. Returns the three paths.
     """
+    # imported on first use: a sweep writes no matrix, so it never loads it
+    from .floattext import BLOCK, WIDTH, repr_rows
+
     path = Path(path)
-    coords = list(map(repr, _coordinates(matrix.grid).tolist()))
+    paths = [path] + [path.with_name(path.stem + suffix + ".csv")
+                      for suffix in ("_magnitude", "_phase")]
+    text = [_text(row) for row in repr_rows(_coordinates(matrix.grid))]
+    coords = np.array(text).view(np.uint8).reshape(len(text), -1)  # NUL-padded
+    n, width = coords.shape
     vals = matrix.values
-    _write_lines(path, _coords_lines(coords, vals))
-    paths = [path]
-    for suffix, table in (("_magnitude", np.abs(vals)), ("_phase", np.angle(vals))):
-        paths.append(path.with_name(path.stem + suffix + ".csv"))
-        _write_lines(paths[-1], _grid_lines(coords, table))
+
+    step = max(1, min(n, BLOCK // (2 * n)))  # rows per block: about one formatter block
+    lines, (coord_slots, value_slots) = _line_table((step, n), [(2, width), (2, WIDTH)])
+    coord_slots[:, :, 1] = coords
+    with open(path, "wb") as fh:
+        fh.write(b"row_coord,col_coord,re,im\r\n")
+        for start in range(0, n, step):
+            rows = slice(start, start + step)
+            block = vals[rows]
+            m = len(block)
+            coord_slots[:m, :, 0] = coords[rows, None]
+            value_slots[:m, :, 0] = repr_rows(block.real).reshape(m, n, WIDTH)
+            value_slots[:m, :, 1] = repr_rows(block.imag).reshape(m, n, WIDTH)
+            for row in lines[:m]:
+                fh.write(_text(row))
+
+    step = max(1, min(n, BLOCK // n))
+    lines, (coord_slots, value_slots) = _line_table((step,), [(1, width), (n, WIDTH)])
+    for out, view in zip(paths[1:], (np.abs, np.angle)):
+        with open(out, "wb") as fh:
+            fh.write(b",".join([b"coord", *text]) + b"\r\n")
+            for start in range(0, n, step):
+                rows = slice(start, start + step)
+                block = view(vals[rows])
+                m = len(block)
+                coord_slots[:m, 0] = coords[rows]
+                value_slots[:m] = repr_rows(block).reshape(m, n, WIDTH)
+                for row in lines[:m]:
+                    fh.write(_text(row))
     return paths
 
 
 def _write_marginal(path, omega: np.ndarray, spectrum: np.ndarray) -> None:
     """Write a (detuning, intensity) marginal table with repr floats."""
-    _write_lines(path, ["detuning,intensity\r\n",
-                        "".join([f"{w!r},{s!r}\r\n"
-                                 for w, s in zip(omega.tolist(), spectrum.tolist())])])
+    from .floattext import WIDTH, repr_rows
+
+    lines, (slots,) = _line_table((len(omega),), [(2, WIDTH)])
+    slots[:] = repr_rows(np.column_stack((omega, spectrum))).reshape(slots.shape)
+    with open(path, "wb") as fh:
+        fh.write(b"detuning,intensity\r\n")
+        fh.write(_text(lines))
 
 
 # the physical range of each bounded figure (the unconjugated eta and its
@@ -197,8 +231,10 @@ def _metrics_document(cfg: SimulationConfig, pm, notes: list[str],
 def _simulate_peak_bytes(n_points: int) -> int:
     """Upper estimate of the bytes ``simulate`` holds at once in dense N x N
     arrays: five complex ones (16 bytes per entry), covering the filtered
-    JTA, the JSA and the temporaries of the transform and of the magnitude
-    and phase views. tracemalloc measured 64.6 N^2 bytes at N = 512.
+    JTA, the JSA and the temporaries of the convolution and the transform.
+    tracemalloc measured 64.6 N^2 bytes at N = 512, reached inside
+    ``filtered_jta`` and ``jta_to_jsa``; the export, which formats a block
+    of rows at a time, adds about 2 MB to the two matrices at any N.
     """
     return 5 * 16 * n_points ** 2
 

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -1089,6 +1090,48 @@ def test_simulate_peak_estimate_grows_as_n_squared():
     assert sfwmsim.cli._simulate_peak_bytes(256) == 80 * 256 ** 2
     assert sfwmsim.cli._simulate_peak_bytes(4096) <= sfwmsim.cli._SIMULATE_MAX_BYTES
     assert sfwmsim.cli._simulate_peak_bytes(8192) > sfwmsim.cli._SIMULATE_MAX_BYTES
+
+
+def _traced_peak(run):
+    """The tracemalloc peak, in bytes, of ``run()``."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n", [256, 512])
+def test_simulate_peak_memory_is_within_its_estimate(tmp_path, capsys, n):
+    cfg = _write_config(tmp_path)
+    # a small first run builds the float tables, which do not grow with N
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "warm")]) == 0
+    peak = _traced_peak(lambda: main(["simulate", "--config", cfg, "--out",
+                                      str(tmp_path / "out"), "--grid-points", str(n)]))
+    assert peak < sfwmsim.cli._simulate_peak_bytes(n)
+
+
+def test_export_matrix_memory_does_not_grow_with_the_matrix(monkeypatch):
+    """Beyond its input, one export holds a few blocks of text, not a view of
+    the whole matrix (16 MB at N = 1024) or a whole formatted table."""
+    class Sink:
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def write(self, data):
+            return len(data)
+
+    monkeypatch.setattr(sfwmsim.cli, "open", lambda *a, **k: Sink(), raising=False)
+    rng = np.random.default_rng(11)
+    export_matrix(_edge_matrix("time"), "warm.csv")  # builds the float tables
+    n = 1024
+    matrix = JointAmplitudeMatrix(TemporalGrid(n_points=n, dt=0.01),
+                                  rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    assert _traced_peak(lambda: export_matrix(matrix, "m.csv")) < 4 * 2 ** 20
 
 
 @pytest.mark.parametrize("override", [False, True], ids=["config", "grid_points"])
