@@ -130,14 +130,16 @@ def filtered_jta(diag: DiagonalJTA, filters: FilterPair) -> JointAmplitudeMatrix
             "ridge; use the single-sided metric operations instead")
     grid = diag.grid
     tau = grid.tau
-    # the kernels are even in tau_out - u, so one orientation serves both axes
-    a, b = (gaussian_time_kernel(f.sigma_f, tau[:, None] - tau[None, :])
-            if f.is_gaussian else None for f in (sig, idl))
-    if a is not None and b is not None:
+    # the kernels are even in tau_out - u, so one orientation serves both axes,
+    # and each is exactly symmetric: tau_j - tau_k = -(tau_k - tau_j) in floating point
+    kernels = [gaussian_time_kernel(f.sigma_f, tau[:, None] - tau[None, :])
+               for f in (sig, idl) if f.is_gaussian]
+    if len(kernels) == 2:
+        a, b = kernels
         values = (a * (grid.trapezoid_weights * diag.values)[None, :]) @ b.T / (2.0 * math.pi)
-    elif a is not None:
-        # idler stays pinned to the generation time: one delta survives
-        values = diag.values[None, :] * a * (DELTA_KERNEL_WEIGHT / (2.0 * math.pi))
     else:
-        values = diag.values[:, None] * b * (DELTA_KERNEL_WEIGHT / (2.0 * math.pi))
+        # the unfiltered side stays pinned to the generation time: one delta
+        # survives; an unfiltered signal is the mirror image, the transpose
+        values = diag.values[None, :] * kernels[0] * (DELTA_KERNEL_WEIGHT / (2.0 * math.pi))
+        values = values if sig.is_gaussian else np.ascontiguousarray(values.T)
     return JointAmplitudeMatrix(grid, values)

@@ -248,8 +248,9 @@ def _kernel_factor(grid: TemporalGrid, filt: FilterSpec) -> np.ndarray:
     return p
 
 
-# a phi_max sweep over all four tiers on one grid and filter pair meets 3 to
-# 6 distinct windows (perfbench's sweep_phi_512, 200 seeds)
+# a phi_max sweep over all four tiers on one grid and filter pair meets 2 or 3
+# distinct windows (perfbench's sweep_phi_512, 200 seeds); unequal filters take
+# two entries per window, so such a sweep with lambda != mu needs up to 6
 @functools.lru_cache(maxsize=8)
 def _window_factor(grid: TemporalGrid, filt: FilterSpec, lo: int, hi: int) -> np.ndarray:
     """F ((hi - lo) x k) with F F^T equal to S S^T for the rows S = P[lo:hi]
@@ -290,8 +291,8 @@ def _shortest_window(w: np.ndarray, budget: float) -> tuple[int, int, float]:
 
 
 def _core_terms(diag: DiagonalJTA, filters: FilterPair):
-    """The filters whose kernel factors stand on the two sides of the Schmidt
-    core (None for an unfiltered side) and the scaled diagonal samples c.
+    """The filters whose kernel factors stand on the sides of the Schmidt
+    core, one per filtered side, and the scaled diagonal samples c.
 
     The weighted filtered amplitude is M = A^ diag(v / 2 pi) B^, with A^ and
     B^ the weighted kernels of ``_kernel_factor`` and v the diagonal samples.
@@ -300,40 +301,35 @@ def _core_terms(diag: DiagonalJTA, filters: FilterPair):
     unfiltered side is a delta kernel: M collapses to A^ diag(v) sqrt(2 pi)/2 pi
     (or its transpose), whose core is Pa^T diag(c) with c = v sqrt(2 pi) / 2 pi.
     """
-    sig, idl = filters.signal, filters.idler
-    if sig.is_gaussian and idl.is_gaussian:
-        return sig, idl, diag.values / (2.0 * math.pi)
-    return (sig if sig.is_gaussian else idl), None, diag.values * (
-        DELTA_KERNEL_WEIGHT / (2.0 * math.pi))
+    sides = tuple(f for f in (filters.signal, filters.idler) if f.is_gaussian)
+    if len(sides) == 2:
+        return sides, diag.values / (2.0 * math.pi)
+    return sides, diag.values * (DELTA_KERNEL_WEIGHT / (2.0 * math.pi))
 
 
 def _schmidt_window(diag: DiagonalJTA, filters: FilterPair) -> tuple[int, int, float]:
-    """The shortest row window of the Schmidt core that provably moves no
-    singular value by more than round-off, and the bound on how far it can.
+    """The shortest row window of the Schmidt core whose left-out rows move
+    no singular value by more than round-off once ``_schmidt_spectrum`` has
+    checked it, and the bound on how far they can.
 
     The core is a sum over rows n of the rank-one terms c_n pa_n pb_n^T,
     with pa_n, pb_n the rows of the kernel factors (a unit row on an
     unfiltered side). Leaving out the rows outside the window changes the
-    core by a matrix of spectral norm at most sum |c_n| |pa_n| |pb_n| over
-    those rows, and so, by Weyl's inequality, each singular value by at most
-    that much. The window keeps that sum under half of ``_WINDOW_CUT`` times
-    a lower bound on the largest singular value: |x^T C y| for the unit x, y
-    along the two factor rows of the largest term.
+    core by a matrix of spectral norm at most the sum of the term norms
+    w_n = |c_n| |pa_n| |pb_n| over those rows, and so, by Weyl's inequality,
+    each singular value by at most that much. The window keeps that sum
+    under half of ``_WINDOW_CUT`` times the largest w_n, which needs only
+    the factors' row norms. With one side filtered the largest w_n is the
+    norm of a column of the core, a lower bound on its largest singular
+    value; with two it need not be, and the check after the SVD is what
+    guarantees the bound.
     """
-    filt_a, filt_b, c = _core_terms(diag, filters)
-    pa = _kernel_factor(diag.grid, filt_a)
-    norm_a = np.sqrt(np.einsum("ij,ij->i", pa, pa))
-    if filt_b is None:
-        w = np.abs(c) * norm_a
-        # the core's column n has norm w[n], a lower bound on its largest singular value
-        return _shortest_window(w, 0.5 * _WINDOW_CUT * w.max())
-    pb = _kernel_factor(diag.grid, filt_b)
-    norm_b = norm_a if pb is pa else np.sqrt(np.einsum("ij,ij->i", pb, pb))
-    w = np.abs(c) * norm_a * norm_b
-    j = int(np.argmax(w))
-    xa = pa @ (pa[j] / norm_a[j])
-    yb = xa if pb is pa else pb @ (pb[j] / norm_b[j])
-    return _shortest_window(w, 0.5 * _WINDOW_CUT * abs(np.sum(c * xa * yb)))
+    sides, c = _core_terms(diag, filters)
+    w = np.abs(c)
+    for filt in sides:
+        p = _kernel_factor(diag.grid, filt)
+        w = w * np.sqrt(np.einsum("ij,ij->i", p, p))
+    return _shortest_window(w, 0.5 * _WINDOW_CUT * w.max())
 
 
 def _schmidt_core(diag: DiagonalJTA, filters: FilterPair, lo: int, hi: int) -> np.ndarray:
@@ -341,21 +337,22 @@ def _schmidt_core(diag: DiagonalJTA, filters: FilterPair, lo: int, hi: int) -> n
     factor replaced by its rank-k reduction F of ``_window_factor``: F has
     the singular values and left vectors of the factor's rows, so the core
     keeps its singular values and shrinks to k x k."""
-    filt_a, filt_b, c = _core_terms(diag, filters)
-    fa = _window_factor(diag.grid, filt_a, lo, hi)
+    sides, c = _core_terms(diag, filters)
+    fa, *fb = (_window_factor(diag.grid, filt, lo, hi) for filt in sides)
     c = c[lo:hi]
-    if filt_b is None:
+    if not fb:
         return fa.T * c[None, :]
-    fb = _window_factor(diag.grid, filt_b, lo, hi)
     # two real products: a complex left factor would copy fb to complex
-    return (fa.T * c.real) @ fb + 1j * ((fa.T * c.imag) @ fb)
+    return (fa.T * c.real) @ fb[0] + 1j * ((fa.T * c.imag) @ fb[0])
 
 
 def _schmidt_spectrum(diag: DiagonalJTA, filters: FilterPair) -> SchmidtDecomposition:
     """Schmidt spectrum of the filtered amplitude from the core on the window
-    of ``_schmidt_window``. Should the bound on what the window leaves out
-    exceed ``_WINDOW_CUT`` of the largest singular value after all, the
-    spectrum is taken again on every row."""
+    of ``_schmidt_window``. The window's budget rests on the largest term of
+    the core, not on its largest singular value, so the bound on what it
+    leaves out is checked against that value here: should it exceed
+    ``_WINDOW_CUT`` of it, the spectrum is taken again on every row, and
+    Weyl's bound holds for every spectrum returned."""
     lo, hi, dropped = _schmidt_window(diag, filters)
     schmidt = purity_schmidt(_schmidt_core(diag, filters, lo, hi))
     if dropped > _WINDOW_CUT * schmidt.scale:

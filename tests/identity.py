@@ -22,6 +22,7 @@ two values, a list's (the Schmidt weights) relative to its largest entry.
 Cases at N > 256 are marked large and run only with ``--large``; the tier-1
 test (``test_identity.py``) checks the others. ``--only`` re-records or
 checks the named cases alone, leaving the other manifest entries as they are.
+The sha256s hold for one numpy and BLAS build; another may need a fresh record.
 
 ``sample`` evaluates a seeded set of random configurations with
 ``compute_pair_metrics`` and writes every figure (η and ν as hex, the
@@ -86,7 +87,7 @@ class Case:
     name: str
     command: str  # simulate, sweep or validate
     config: dict | str  # a config dict, or the raw text of a config file
-    sweep: dict | str | None = None
+    sweep: dict | None = None
     flags: tuple[str, ...] = ()
 
     @property
@@ -293,7 +294,7 @@ def compare(old: dict, new: dict) -> tuple[str, str]:
 
 def selected(large: bool, only) -> list[Case]:
     names = {case.name for case in CASES}
-    unknown = sorted(set(only or ()) - names)
+    unknown = sorted(set(only) - names)
     if unknown:
         raise SystemExit(f"unknown cases: {', '.join(unknown)}")
     return [case for case in CASES

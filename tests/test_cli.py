@@ -1050,7 +1050,8 @@ def test_only_simulate_builds_the_dense_filtered_matrix(tmp_path, monkeypatch):
 def test_a_sweep_with_equal_filters_factors_one_kernel(tmp_path):
     # lambda = mu and one grid for every row: one eigendecomposition serves
     # all, and one rank reduction serves each distinct row window of the
-    # Schmidt core (both sides share it)
+    # Schmidt core (both sides share it). The window's budget follows |JTA|
+    # alone, not the SPM phase, and every row of this sweep meets one window
     cfg = _write_config(tmp_path)
     sweep = _write_sweep(tmp_path, {"parameter": "phi_max",
                                     "values": [0.1 * k for k in range(1, 10)],
@@ -1062,8 +1063,8 @@ def test_a_sweep_with_equal_filters_factors_one_kernel(tmp_path):
                  "--out", str(tmp_path / "sweep.csv")]) == 0
     assert sfwmsim.metrics._kernel_factor.cache_info().misses == 1
     windows = sfwmsim.metrics._window_factor.cache_info()
-    assert windows.misses == 2
-    assert windows.hits == 2 * 36 - 2
+    assert windows.misses == 1
+    assert windows.hits == 2 * 36 - 1
 
 
 def test_a_sweep_factors_kernels_from_small_eigenproblems(tmp_path, monkeypatch):

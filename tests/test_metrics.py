@@ -527,6 +527,31 @@ def test_a_window_that_leaves_out_too_much_falls_back_to_every_row(monkeypatch):
     assert abs(pm.purity - expected.purity) <= 1e-15
 
 
+def test_a_sinc_window_that_fails_its_check_falls_back_to_every_row(monkeypatch):
+    """The window's budget rests on the core's largest term, which here
+    exceeds its largest singular value: the window (26, 38) leaves out more
+    than 2**-53 of it, and the spectrum is taken on every row instead."""
+    pump = PumpPulse(P0=1.48 / (121.6 * 0.005), sigma_t=1.0)
+    wg = make_waveguide(gamma=121.6, length=0.005, delta_beta0=16.3)
+    filters = make_filters(1.14, 2.9, pump)
+    grid = make_grid(pump, [filters.signal, filters.idler], n_points=64)
+    diag = build_diagonal_jta("sinc", pump, wg, grid)
+    lo, hi, dropped = sfwmsim.metrics._schmidt_window(diag, filters)
+    assert (lo, hi) == (26, 38)
+    window = purity_schmidt(sfwmsim.metrics._schmidt_core(diag, filters, lo, hi))
+    assert dropped > 2.0 ** -53 * window.scale
+    windows = []
+    real_core = sfwmsim.metrics._schmidt_core
+    monkeypatch.setattr(sfwmsim.metrics, "_schmidt_core",
+                        lambda d, f, lo, hi: windows.append((lo, hi)) or real_core(d, f, lo, hi))
+    pm = compute_pair_metrics(diag, filters)
+    assert windows == [(26, 38), (0, 64)]
+    purity, dense = schmidt_spectrum(grid.tau, grid.tau, filtered_jta(diag, filters).values)
+    assert len(pm.schmidt_weights) == len(dense)
+    assert np.max(np.abs(pm.schmidt_weights - dense)) <= 1e-12
+    assert abs(pm.purity - purity) <= 1e-12
+
+
 @pytest.mark.parametrize("n_points, lam", [(64, 2.0), (512, 2.0), (512, 0.1), (1024, 0.3)])
 def test_a_window_factor_spans_the_window_rows_at_their_rank(n_points, lam):
     diag, filters = _readme_setup(n_points, lam)
