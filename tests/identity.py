@@ -23,6 +23,8 @@ Cases at N > 256 are marked large and run only with ``--large``; the tier-1
 test (``test_identity.py``) checks the others. ``--only`` re-records or
 checks the named cases alone, leaving the other manifest entries as they are.
 The sha256s hold for one numpy and BLAS build; another may need a fresh record.
+The last bits of the Schmidt weights also depend on the BLAS thread count, so
+``check`` first prints the numpy version, the BLAS build and its thread settings.
 
 ``sample`` evaluates a seeded set of random configurations with
 ``compute_pair_metrics`` and writes every figure (η and ν as hex, the
@@ -46,6 +48,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -321,6 +324,19 @@ def record(large: bool = False, only=()) -> None:
     MANIFEST.write_text(json.dumps(ordered, indent=1) + "\n", encoding="utf-8")
 
 
+def build_info() -> str:
+    """The numpy version, BLAS build and BLAS thread settings of this process.
+    OpenBLAS runs one thread per CPU unless an environment variable caps it."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        name = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy before 1.26 only prints its config
+        name = "unknown"
+    threads = ", ".join(f"{var}={os.environ.get(var, 'unset')}"
+                        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"))
+    return f"numpy {np.__version__}, BLAS {name}; {threads}; {os.cpu_count()} CPUs"
+
+
 def random_configurations(count: int = 600, seed: int = 29) -> list[dict]:
     """The seeded random set: one dict of ``config`` keywords (plus
     ``conjugated``) per configuration."""
@@ -411,6 +427,7 @@ def main(argv=None) -> int:
         record(args.large, args.only)
         return 0
     if args.mode == "check":
+        print(build_info())
         results = check(args.large, args.only)
         for name, (status, detail) in results.items():
             print(f"{name}: {status}" + (f" ({detail})" if detail else ""))
