@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError
-from .filtering import (DELTA_KERNEL_WEIGHT, FilterPair, FilterSpec, gaussian_time_kernel,
-                        overlap)
+from .filtering import DELTA_KERNEL_WEIGHT, FilterPair, FilterSpec, gaussian_time_kernel, overlap
 from .grids import TemporalGrid
 from .jta import DiagonalJTA
 
@@ -82,8 +81,7 @@ def _lag_sum(kappa: np.ndarray, v: np.ndarray, conjugated: bool = True):
     return kappa[0] * c[0] + 2.0 * (kappa[1:] @ c[1:])
 
 
-def _quadratic_form(diag: DiagonalJTA, kappa: np.ndarray, conjugated: bool,
-                    step: int = 1):
+def _quadratic_form(diag: DiagonalJTA, kappa: np.ndarray, conjugated: bool, step: int = 1):
     """(1/4 pi^2) v* K v (or v K v) on every ``step``-th sample of the diagonal,
     with K[j, k] = kappa[|j - k|] the eta kernel on the full grid; kappa[::2]
     is the kernel of the grid TemporalGrid(n // 2, 2 dt) (see ``_overlap_lags``).
@@ -294,17 +292,19 @@ def _core_terms(diag: DiagonalJTA, filters: FilterPair):
     """The filters whose kernel factors stand on the sides of the Schmidt
     core, one per filtered side, and the scaled diagonal samples c.
 
-    The weighted filtered amplitude is M = A^ diag(v / 2 pi) B^, with A^ and
-    B^ the weighted kernels of ``_kernel_factor`` and v the diagonal samples.
-    With A^ = Qa La Qa^T, B^ = Qb Lb Qb^T and Pa = Qa La, Pb = Qb Lb, the
-    core Pa^T diag(c) Pb with c = v / 2 pi has the singular values of M. An
-    unfiltered side is a delta kernel: M collapses to A^ diag(v) sqrt(2 pi)/2 pi
-    (or its transpose), whose core is Pa^T diag(c) with c = v sqrt(2 pi) / 2 pi.
+    M = A^ diag(v / 2 pi) B^, the weighted filtered amplitude of the diagonal
+    samples v, has the singular values of the core Pa^T diag(c) Pb with
+    c = v / 2 pi, where A^ = Qa Pa^T and B^ = Qb Pb^T are the weighted
+    kernels and Pa, Pb their factors (``_kernel_factor``). An unfiltered side
+    is a delta kernel, M = A^ diag(v) sqrt(2 pi)/2 pi (or its transpose), and
+    the unitary diag(v / |v|) keeps singular values: the core is the real
+    Pa^T diag(c) with c = |v| sqrt(2 pi)/2 pi, a function of |JTA| alone.
+    |v| is taken before the scaling, so that v and |v| give the same bits.
     """
     sides = tuple(f for f in (filters.signal, filters.idler) if f.is_gaussian)
     if len(sides) == 2:
         return sides, diag.values / (2.0 * math.pi)
-    return sides, diag.values * (DELTA_KERNEL_WEIGHT / (2.0 * math.pi))
+    return sides, np.abs(diag.values) * (DELTA_KERNEL_WEIGHT / (2.0 * math.pi))
 
 
 def _schmidt_window(diag: DiagonalJTA, filters: FilterPair) -> tuple[int, int, float]:

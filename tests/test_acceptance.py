@@ -17,7 +17,7 @@ from sfwmsim import (FilterPair, FilterSpec, build_diagonal_jta,
                      check_free_carrier_regime, compute_pair_metrics, effective_length,
                      filtered_jta, gaussian_eta, gaussian_nu, gaussian_purity,
                      jta_to_jsa, nonlinear_phase, propagate_power, pump_power_profile,
-                     single_sided_eta, single_sided_purity,
+                     schmidt_mode_count, single_sided_eta, single_sided_purity,
                      validate_low_excitation)
 from oracles import jsa_to_jta, purity_quadrature, schmidt_spectrum
 from conftest import (make_filters, make_grid, make_pump, make_waveguide,
@@ -111,11 +111,13 @@ def test_criterion_04_phase_cancellation_with_unfiltered_idler(capsys):
     base_purity = single_sided_purity(linear, filt)
     base_rate = single_sided_eta(linear, filt)  # phi^2 = 1
     purities, rates = [base_purity], [base_rate]
+    members = [(1.0, linear)]  # (phi, diagonal), the linear tier at phi = 1
     for phi in (0.5, 1.0, 2.0):
         pump = make_pump(phi_max=phi)
         diag = build_diagonal_jta("simple_sxpm", pump, wg, grid)
         purities.append(single_sided_purity(diag, filt))
         rates.append(single_sided_eta(diag, filt) / phi ** 2)
+        members.append((phi, diag))
     # the phi=0 member of the set: rate vanishes identically
     rate_at_zero = single_sided_eta(
         build_diagonal_jta("simple_sxpm", make_pump(phi_max=0.0), wg, grid), filt)
@@ -123,18 +125,37 @@ def test_criterion_04_phase_cancellation_with_unfiltered_idler(capsys):
     r_spread = (max(rates) - min(rates)) / min(rates)
     p_closed = abs(purities[0] - gaussian_purity(2.0, 0.0)) / gaussian_purity(2.0, 0.0)
     r_closed = abs(rates[0] - gaussian_eta(1.0, 2.0, 0.0)) / gaussian_eta(1.0, 2.0, 0.0)
+    # what the CLI reports: compute_pair_metrics with only the signal or only
+    # the idler filtered, against the linear tier's weights
+    none = FilterSpec.unfiltered()
+    base_weights = compute_pair_metrics(linear, FilterPair(filt, none)).schmidt_weights
+    reported_spreads, w_spread, nus = [], 0.0, []
+    for pair in (FilterPair(filt, none), FilterPair(none, filt)):
+        pms = [(phi, compute_pair_metrics(diag, pair)) for phi, diag in members]
+        for values in ([pm.purity for _, pm in pms], [pm.eta / phi ** 2 for phi, pm in pms]):
+            reported_spreads.append((max(values) - min(values)) / min(values))
+        for _, pm in pms:
+            assert len(pm.schmidt_weights) == len(base_weights)
+            assert schmidt_mode_count(pm.schmidt_weights) == schmidt_mode_count(base_weights)
+            w_spread = max(w_spread, float(np.max(np.abs(pm.schmidt_weights - base_weights))))
+        nus.append({pm.nu for _, pm in pms})
     elapsed = time.perf_counter() - t0
     ok = (p_spread <= 1e-9 and r_spread <= 1e-9 and rate_at_zero == 0.0
-          and p_closed <= 1e-4 and r_closed <= 1e-4 and elapsed <= 5.0)
+          and p_closed <= 1e-4 and r_closed <= 1e-4 and max(reported_spreads) <= 1e-9
+          and w_spread <= 1e-15 and elapsed <= 5.0)
     _announce(capsys, 4, ok,
               f"purity spread {p_spread:.1e}, normalized rate spread "
               f"{r_spread:.1e}, rate at zero power {rate_at_zero}, closed-form "
-              f"errs {p_closed:.1e}/{r_closed:.1e}, {elapsed:.1f}s")
+              f"errs {p_closed:.1e}/{r_closed:.1e}, reported spreads "
+              f"{max(reported_spreads):.1e}, weight spread {w_spread:.1e}, {elapsed:.1f}s")
     assert p_spread <= 1e-9
     assert r_spread <= 1e-9
     assert rate_at_zero == 0.0
     assert p_closed <= 1e-4
     assert r_closed <= 1e-4
+    assert max(reported_spreads) <= 1e-9
+    assert w_spread <= 1e-15
+    assert nus == [{1.0}, {None}]
     assert elapsed <= 5.0
 
 

@@ -447,6 +447,36 @@ def test_factored_schmidt_spectrum_matches_the_dense_oracle_at_1024(lam, mu):
     assert schmidt_mode_count(pm.schmidt_weights) == schmidt_mode_count(dense)
 
 
+# The linear tier's filtered amplitude is a bivariate Gaussian, with one side
+# filtered or both, so by Mehler's formula its Schmidt weights are
+# g_n^2 = (1 - q) q^n with q = (1 - P) / (1 + P), P the closed-form purity (Law,
+# Walmsley & Eberly 2000, PRL 84:5304). The grid span cuts off the high modes:
+# at span 8, (0.3, 0) keeps 78 weights against 79, and lambda = mu = 0.5 misses
+# weight 24 by 1.5e-13. At span 10 every weight of these cases lies within
+# 5.0e-16 of the closed form. Each case's closed-form ratio g_n / g_0 stays at
+# least 10 % away from the weight floor 1e-14, so round-off cannot move the
+# kept count; the floor is written out, so that a changed floor fails here.
+@pytest.mark.parametrize("lam, mu, n_points", [
+    (2.0, 2.0, 256), (1.5, 2.5, 1024), (3.0, 0.7, 256), (0.5, 0.5, 2048), (0.2, 0.5, 1024),
+    (0.1, 0.5, 2048), (2.0, 0.0, 256), (0.35, 0.0, 1024), (0.4, 0.0, 2048), (0.0, 1.0, 256),
+    (0.0, 0.2, 1024), (0.0, 0.6, 2048)])
+def test_linear_schmidt_weights_follow_mehlers_formula(lam, mu, n_points):
+    pump = make_pump(phi_max=1.0)
+    filters = make_filters(lam, mu, pump)
+    grid = make_grid(pump, [filters.signal, filters.idler], n_points=n_points,
+                     span_sigmas=10.0)
+    diag = build_diagonal_jta("linear", pump, make_waveguide(), grid)
+    weights = compute_pair_metrics(diag, filters).schmidt_weights
+    p = gaussian_purity(lam, mu)
+    q = (1.0 - p) / (1.0 + p)
+    ratio = q ** (np.arange(1000) / 2.0)  # g_n / g_0
+    assert np.all(np.abs(np.log(ratio[ratio > 1e-15] / 1e-14)) > 0.1)
+    closed = np.sqrt(1.0 - q) * ratio[ratio > 1e-14]
+    assert len(weights) == len(closed)
+    assert schmidt_mode_count(weights) == schmidt_mode_count(closed)
+    assert np.max(np.abs(weights - closed)) <= 1e-15
+
+
 def _readme_setup(n_points=512, lam=2.0, mu=2.0, model="simple_sxpm"):
     """The benchmark's README config: the filter kernels are 4x wider than the
     pulse, so the diagonal vanishes on most of the grid."""

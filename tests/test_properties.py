@@ -1,7 +1,8 @@
 """Property tests through the metric path the CLI uses
 (``compute_pair_metrics``): the paper's headline invariance (with one side
 unfiltered, eta and the heralded purity do not depend on any phase carried
-by the diagonal amplitude, and filtering only the signal or only the idler at
+by the diagonal amplitude, every figure is bit for bit that of |JTA|, and
+filtering only the signal or only the idler at
 the same bandwidth ratio gives the same numbers), agreement of the factored
 Schmidt spectrum with the dense filtered amplitude, signal/idler symmetry
 with both sides filtered, eta proportional to phi^2 in the linear tier, and
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sfwmsim.metrics
 from sfwmsim import (DiagonalJTA, FilterPair, FilterSpec, JointAmplitudeMatrix,
                      TemporalGrid, compute_pair_metrics, filtered_jta, gaussian_eta,
                      build_diagonal_jta, jta_to_jsa, pump_power_profile,
@@ -58,6 +60,45 @@ def test_single_sided_metrics_ignore_any_diagonal_phase(lam, phi, coeffs,
     _same(mirror.purity, plain.purity, rel=0.0)
     if plain.schmidt_weights is not None:
         _same(mirror.schmidt_weights[0], plain.schmidt_weights[0])
+
+
+def _bits(value):
+    """A figure's exact bits: repr of a float is its shortest round trip."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, [x.hex() for x in value.tolist()]
+    return repr(value)
+
+
+@pytest.mark.parametrize("side", ["signal_only", "idler_only"])
+@pytest.mark.parametrize("model", ["linear", "simple_sxpm", "sinc", "general_quadrature"])
+def test_single_sided_metrics_are_the_metrics_of_the_magnitude_bit_for_bit(model, side):
+    # every single-sided figure is a function of |JTA|: eta and the purity by
+    # their |JTA|^2 forms, the Schmidt weights through a real core. Eight
+    # seeded draws per tier and side: N 64-1024, a phase mismatch on sinc and
+    # general_quadrature, loss on every second general_quadrature draw, and
+    # the unconjugated eta on every second draw.
+    rng = np.random.default_rng(["linear", "simple_sxpm", "sinc", "general_quadrature"]
+                                .index(model) * 2 + (side == "idler_only"))
+    for i, n_points in enumerate([64, 128, 256, 512, 1024, 64, 256, 1024]):
+        lam, phi = rng.uniform(0.1, 3.0), rng.uniform(0.05, 2.0)
+        pump = make_pump(phi_max=phi)
+        filters = make_filters(lam if side == "signal_only" else 0.0,
+                               lam if side == "idler_only" else 0.0, pump)
+        grid = make_grid(pump, [filters.signal, filters.idler], n_points=n_points)
+        guide = {}
+        if model in ("sinc", "general_quadrature"):
+            guide["delta_beta0"] = rng.uniform(-30.0, 30.0)
+        if model == "general_quadrature" and i % 2:
+            guide.update(alpha=rng.uniform(0.0, 40.0), alpha2_P=rng.uniform(0.0, 10.0))
+        diag = build_diagonal_jta(model, pump, make_waveguide(**guide), grid)
+        magnitude = DiagonalJTA(grid, np.abs(diag.values))
+        plain = compute_pair_metrics(diag, filters, conjugated=i % 2 == 0)
+        blind = compute_pair_metrics(magnitude, filters, conjugated=i % 2 == 0)
+        for field in dataclasses.fields(plain):
+            assert _bits(getattr(plain, field.name)) == _bits(getattr(blind, field.name)), \
+                (field.name, n_points, lam, phi, guide)
+        lo, hi, _ = sfwmsim.metrics._schmidt_window(diag, filters)
+        assert sfwmsim.metrics._schmidt_core(diag, filters, lo, hi).dtype == np.float64
 
 
 # below 0.5 the filter kernels are narrower than the pulse: the Schmidt
