@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError
-from .filtering import DELTA_KERNEL_WEIGHT, FilterPair, FilterSpec, gaussian_time_kernel, overlap
+from .filtering import (DELTA_KERNEL_WEIGHT, FilterPair, FilterSpec, gaussian_time_kernel,
+                        overlap)
 from .grids import TemporalGrid
 from .jta import DiagonalJTA
 
@@ -81,7 +82,8 @@ def _lag_sum(kappa: np.ndarray, v: np.ndarray, conjugated: bool = True):
     return kappa[0] * c[0] + 2.0 * (kappa[1:] @ c[1:])
 
 
-def _quadratic_form(diag: DiagonalJTA, kappa: np.ndarray, conjugated: bool, step: int = 1):
+def _quadratic_form(diag: DiagonalJTA, kappa: np.ndarray, conjugated: bool,
+                    step: int = 1):
     """(1/4 pi^2) v* K v (or v K v) on every ``step``-th sample of the diagonal,
     with K[j, k] = kappa[|j - k|] the eta kernel on the full grid; kappa[::2]
     is the kernel of the grid TemporalGrid(n // 2, 2 dt) (see ``_overlap_lags``).
@@ -292,15 +294,13 @@ def _core_terms(diag: DiagonalJTA, filters: FilterPair):
     """The filters whose kernel factors stand on the sides of the Schmidt
     core, one per filtered side, and the scaled diagonal samples c.
 
-    M = A^ diag(v / 2 pi) B^, the weighted filtered amplitude of the diagonal
-    samples v, has the singular values of the core Pa^T diag(c) Pb with
-    c = v / 2 pi, where A^ = Qa Pa^T and B^ = Qb Pb^T are the weighted
-    kernels and Pa, Pb their factors (``_kernel_factor``). An unfiltered side
-    is a delta kernel, M = A^ diag(v) sqrt(2 pi)/2 pi (or its transpose), and
-    the unitary diag(v / |v|) keeps singular values: the core is the real
-    Pa^T diag(c) with c = |v| sqrt(2 pi)/2 pi, a function of |JTA| alone.
-    |v| is taken before the scaling, so that v and |v| give the same bits.
-    """
+    With v the diagonal samples and Pa, Pb the factors of ``_kernel_factor``, the
+    weighted filtered amplitude M = A^ diag(v / 2 pi) B^ = Qa Pa^T diag(v / 2 pi) Pb Qb^T
+    has the singular values of the core Pa^T diag(c) Pb, c = v / 2 pi. An
+    unfiltered side is a delta kernel, M = A^ diag(v) sqrt(2 pi)/2 pi or its
+    transpose, and the unitary diag(v / |v|) keeps its singular values: the
+    core is the real Pa^T diag(c), c = |v| sqrt(2 pi)/2 pi (|v| before the
+    scaling, so v and |v| give the same bits), a function of |JTA| alone."""
     sides = tuple(f for f in (filters.signal, filters.idler) if f.is_gaussian)
     if len(sides) == 2:
         return sides, diag.values / (2.0 * math.pi)
